@@ -39,8 +39,8 @@ type Backend interface {
 	Search(ctx context.Context, query string, k int) ([]Result, error)
 	// SearchInto is Search reusing dst's storage for the returned ranking
 	// (dst may be nil). It exists for allocation-sensitive front ends: on a
-	// *Client the steady-state path — warm query-plan cache, recycled dst —
-	// allocates nothing, which is what cmd/qserve's /v1/search handler
+	// *Client or a *Pool the steady-state path — warm query-plan cache,
+	// recycled dst — allocates nothing, which is what cmd/qserve's /v1/search handler
 	// builds its zero-garbage request loop on. The backend does not retain
 	// query or dst beyond the call.
 	SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error)

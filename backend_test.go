@@ -943,3 +943,71 @@ func TestErrorClass(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchAllMatchesSequentialOrder: on every runtime a batch returns
+// the per-query Search rankings in input order whatever the worker
+// count, and an empty batch is a no-op, not an error.
+func TestSearchAllMatchesSequentialOrder(t *testing.T) {
+	ctx := context.Background()
+	ref, backends := conformanceBackends(t)
+	var queries []string
+	for _, q := range ref.Queries() {
+		queries = append(queries, q.Keywords)
+	}
+	for name, be := range backends {
+		t.Run(name, func(t *testing.T) {
+			want := make([][]Result, len(queries))
+			for i, q := range queries {
+				rs, err := be.Search(ctx, q, MaxRank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = rs
+			}
+			for _, workers := range []int{0, 1, 3} {
+				got, err := be.SearchAll(ctx, queries, MaxRank, BatchOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: batch results differ from sequential", workers)
+				}
+			}
+			if out, err := be.SearchAll(ctx, nil, MaxRank, BatchOptions{}); err != nil || len(out) != 0 {
+				t.Fatalf("empty batch = %v, %v", out, err)
+			}
+		})
+	}
+}
+
+// TestSearchAllEmptyResultContract: a batch entry that matches nothing
+// is an empty, non-nil ranking on every runtime.
+func TestSearchAllEmptyResultContract(t *testing.T) {
+	ctx := context.Background()
+	_, backends := conformanceBackends(t)
+	for name, be := range backends {
+		out, err := be.SearchAll(ctx, []string{"zzzunknownterm"}, MaxRank, BatchOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if out[0] == nil || len(out[0]) != 0 {
+			t.Errorf("%s: no-match batch entry = %#v, want empty non-nil slice", name, out[0])
+		}
+	}
+}
+
+// TestSearchAllErrorPropagation: a broken query fails the whole batch on
+// every runtime, and the error names the failing entry.
+func TestSearchAllErrorPropagation(t *testing.T) {
+	ctx := context.Background()
+	ref, backends := conformanceBackends(t)
+	good := ref.Queries()[0].Keywords
+	batch := []string{good, "#combine(", good}
+	for name, be := range backends {
+		out, err := be.SearchAll(ctx, batch, MaxRank, BatchOptions{Workers: 2})
+		if !errors.Is(err, ErrInvalidQuery) || !strings.Contains(err.Error(), "query 1") {
+			t.Errorf("%s: batch with a broken query = %d rankings, %v; want ErrInvalidQuery naming query 1",
+				name, len(out), err)
+		}
+	}
+}

@@ -13,9 +13,11 @@ package querygraph_test
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	querygraph "github.com/querygraph/querygraph"
 	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/cycles"
 	"github.com/querygraph/querygraph/internal/graph"
@@ -330,66 +332,92 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchAll measures the concurrent batch retrieval layer over
-// the full benchmark query set.
+// benchQueryTexts is benchQueryNodes as query text, the input of the
+// public runtimes' text entry points.
+func benchQueryTexts(b *testing.B, e *benchEnv) []string {
+	b.Helper()
+	nodes := benchQueryNodes(b, e)
+	texts := make([]string, len(nodes))
+	for i, n := range nodes {
+		texts[i] = n.String()
+	}
+	return texts
+}
+
+// BenchmarkSearchAll measures a Client's batch retrieval layer
+// (Client.SearchAll: every query parsed through the plan cache, then
+// scored on a bounded worker pool) over the expanded title queries.
 func BenchmarkSearchAll(b *testing.B) {
 	e := benchSetup(b)
-	nodes := benchQueryNodes(b, e)
+	queries := benchQueryTexts(b, e)
+	c, err := querygraph.Build(e.world)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.system.SearchAll(context.Background(), nodes, core.MaxRank, core.BatchOptions{}); err != nil {
+		if _, err := c.SearchAll(ctx, queries, core.MaxRank, querygraph.BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.N*len(nodes))/b.Elapsed().Seconds(), "queries/sec")
+	b.ReportMetric(float64(b.N*len(queries))/b.Elapsed().Seconds(), "queries/sec")
 }
 
-// benchShardSet writes an n-shard partition of the benchmark world and
-// loads its scatter-gather runtime.
-func benchShardSet(b *testing.B, e *benchEnv, n int) *shard.Set {
+// benchPool writes an n-shard partition of the benchmark world and opens
+// a Pool over it.
+func benchPool(b *testing.B, e *benchEnv, n int) *querygraph.Pool {
 	b.Helper()
 	dir := b.TempDir()
 	if _, err := shard.WriteShards(dir, e.system.Archive(e.queries), n); err != nil {
 		b.Fatal(err)
 	}
-	set, err := shard.Load(dir + "/manifest.json")
+	pool, err := querygraph.OpenPool(filepath.Join(dir, shard.ManifestFileName))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return set
+	b.Cleanup(func() { _ = pool.Close() })
+	return pool
 }
 
-// BenchmarkPoolSearchAll measures the sharded batch retrieval layer on
-// the same expanded title queries as BenchmarkSearchAll, at 4 shards:
-// each worker scatters its query over the partitioned indexes and merges
-// under globally aggregated statistics. Compare queries/sec against
-// BenchmarkSearchAll for the sharding overhead/benefit on one machine.
+// BenchmarkPoolSearchAll measures the sharded batch retrieval layer
+// (Pool.SearchAll) on the same expanded title queries as
+// BenchmarkSearchAll, at 4 shards: each worker scores its query over
+// every shard under globally aggregated statistics and merges. Compare
+// queries/sec against BenchmarkSearchAll for the sharding overhead on one
+// machine.
 func BenchmarkPoolSearchAll(b *testing.B) {
 	e := benchSetup(b)
-	nodes := benchQueryNodes(b, e)
-	set := benchShardSet(b, e, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := set.SearchAll(context.Background(), nodes, core.MaxRank, core.BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N*len(nodes))/b.Elapsed().Seconds(), "queries/sec")
-}
-
-// BenchmarkPoolSearch measures single-query scatter-gather latency at 4
-// shards (per-shard planning and scoring run concurrently), against
-// BenchmarkSearch's single-index latency.
-func BenchmarkPoolSearch(b *testing.B) {
-	e := benchSetup(b)
-	nodes := benchQueryNodes(b, e)
-	set := benchShardSet(b, e, 4)
+	queries := benchQueryTexts(b, e)
+	pool := benchPool(b, e, 4)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := set.Search(ctx, nodes[i%len(nodes)], core.MaxRank); err != nil {
+		if _, err := pool.SearchAll(ctx, queries, core.MaxRank, querygraph.BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(b.N*len(queries))/b.Elapsed().Seconds(), "queries/sec")
+}
+
+// BenchmarkPoolSearch measures single-query latency of a 4-shard Pool
+// (Pool.SearchInto with a recycled dst: the shards are scored one after
+// another on pooled scratch), against BenchmarkSearch's single-index
+// latency.
+func BenchmarkPoolSearch(b *testing.B) {
+	e := benchSetup(b)
+	queries := benchQueryTexts(b, e)
+	pool := benchPool(b, e, 4)
+	ctx := context.Background()
+	var dst []querygraph.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := pool.SearchInto(ctx, queries[i%len(queries)], core.MaxRank, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = rs
 	}
 }
 

@@ -62,12 +62,22 @@ type Client struct {
 }
 
 // clientState is one immutable serving state: the base system, the live
-// delta segment above it (nil = empty) and the compaction generation
-// (starts at 1, advanced by each non-empty Compact).
+// delta segment above it (nil = empty), the compaction generation (starts
+// at 1, advanced by each non-empty Compact) and the scorer's view of
+// base+delta.
 type clientState struct {
 	sys   *core.System
 	delta *live.Delta
 	gen   uint64
+	view  sourceView
+}
+
+func newClientState(sys *core.System, delta *live.Delta, gen uint64) *clientState {
+	base := []search.Source{{Engine: sys.Engine}}
+	return &clientState{
+		sys: sys, delta: delta, gen: gen,
+		view: newSourceView(sys, base, sys.Engine.Index().TotalTokens(), delta),
+	}
 }
 
 // cur returns the current serving state; it is never nil, even after
@@ -83,7 +93,7 @@ func newClient(sys *core.System, queries []Query, cfg clientConfig) *Client {
 		autoCompact: cfg.autoCompact,
 		sysOpts:     cfg.sys,
 	}
-	c.st.Store(&clientState{sys: sys, gen: 1}) //qlint:ignore atomicguard constructor: c has not escaped, no concurrent writer exists yet
+	c.st.Store(newClientState(sys, nil, 1)) //qlint:ignore atomicguard constructor: c has not escaped, no concurrent writer exists yet
 	return c
 }
 
@@ -262,39 +272,6 @@ func (c *Client) Stats() Stats {
 // and occupancy (all zero when the cache is disabled).
 func (c *Client) CacheStats() CacheStats { return c.cur().sys.ExpandCacheStats() }
 
-// parseWithEngine turns raw query text into an AST, wrapping failures in
-// ErrInvalidQuery.
-func parseWithEngine(e *search.Engine, query string) (search.Node, error) {
-	node, err := e.Parse(query)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
-	}
-	return node, nil
-}
-
-// searchStateLeaves scores flattened leaves against one pinned state: the
-// base engine alone on the delta-free fast path (zero allocations at
-// steady state), or the two-source base+delta merge under merged
-// collection statistics — bit-identical to a rebuilt monolithic index.
-func searchStateLeaves(st *clientState, leaves []search.Leaf, k int, dst []Result) ([]Result, error) {
-	if st.delta == nil {
-		return st.sys.Engine.SearchLeaves(leaves, k, dst)
-	}
-	sources := []search.Source{{Engine: st.sys.Engine}, st.delta.Source()}
-	total := st.sys.Engine.Index().TotalTokens() + st.delta.TotalTokens()
-	return search.SearchSourcesLeaves(sources, total, leaves, k, dst)
-}
-
-// searchStateNode is searchStateLeaves for an already-parsed query node.
-func searchStateNode(st *clientState, node search.Node, k int) ([]Result, error) {
-	if st.delta == nil {
-		return st.sys.Engine.Search(node, k)
-	}
-	sources := []search.Source{{Engine: st.sys.Engine}, st.delta.Source()}
-	total := st.sys.Engine.Index().TotalTokens() + st.delta.TotalTokens()
-	return search.SearchSources(sources, total, node, k)
-}
-
 // Search parses the INDRI-style query text (bare keywords, #combine,
 // #weight, #1 exact phrases) and returns the top k documents by descending
 // Dirichlet-smoothed query likelihood (ties broken by ascending doc id;
@@ -324,33 +301,12 @@ func (c *Client) searchText(ctx context.Context, query string, k int, dst []Resu
 	if err := c.ready(ctx); err != nil {
 		return nil, err
 	}
-	st := c.cur()
-	// The untraced branch is the pinned 0 allocs/op fast path: one
-	// context lookup, then exactly the pre-trace code.
-	tr := trace.FromContext(ctx)
-	if tr == nil {
-		leaves, err := st.sys.Engine.LeavesForQuery(query)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
-		}
-		return searchStateLeaves(st, leaves, k, dst)
-	}
-	parseStart := time.Now()
-	leaves, err := st.sys.Engine.LeavesForQuery(query)
-	if err != nil {
-		tr.Span("parse", parseStart, "invalid_query")
-		return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
-	}
-	tr.Span("parse", parseStart, "")
-	searchStart := time.Now()
-	rs, err := searchStateLeaves(st, leaves, k, dst)
-	tr.Span("search", searchStart, ErrorClass(err))
-	return rs, err
+	return c.cur().view.searchText(ctx, query, k, dst)
 }
 
 // SearchAll evaluates a batch of query texts on a bounded worker pool and
 // returns the per-query rankings in input order. All queries are parsed up
-// front (the first syntax error aborts the batch with ErrInvalidQuery);
+// front (the first invalid query aborts the batch with ErrInvalidQuery);
 // cancelling ctx stops scheduling the remaining queries and returns
 // ctx.Err().
 func (c *Client) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
@@ -364,39 +320,7 @@ func (c *Client) searchAll(ctx context.Context, queries []string, k int, opts Ba
 	if err := c.ready(ctx); err != nil {
 		return nil, err
 	}
-	st := c.cur()
-	nodes := make([]search.Node, len(queries))
-	for i, q := range queries {
-		node, err := parseWithEngine(st.sys.Engine, q)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		nodes[i] = node
-	}
-	return searchStateAll(ctx, st, nodes, k, opts)
-}
-
-// searchStateAll is the batch form of searchStateNode: the delta-free
-// path keeps the system's batch layer, the delta path fans the two-source
-// merge out over the same bounded worker pool. The whole batch runs on
-// the pinned state, even if an ingest or compaction lands mid-batch.
-func searchStateAll(ctx context.Context, st *clientState, nodes []search.Node, k int, opts BatchOptions) ([][]Result, error) {
-	if st.delta == nil {
-		return st.sys.SearchAll(ctx, nodes, k, opts)
-	}
-	out := make([][]Result, len(nodes))
-	err := core.ForEach(ctx, len(nodes), opts.Workers, func(i int) error {
-		rs, err := searchStateNode(st, nodes[i], k)
-		if err != nil {
-			return fmt.Errorf("search %d: %w", i, err)
-		}
-		out[i] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.cur().view.searchAll(ctx, queries, k, opts)
 }
 
 // Expand runs the online cycle-based expansion pipeline of the paper's
@@ -476,13 +400,7 @@ func (c *Client) searchExpansion(ctx context.Context, exp *Expansion, k int) ([]
 	if err := c.ready(ctx); err != nil {
 		return nil, false, err
 	}
-	st := c.cur()
-	node, ok := exp.Query(st.sys)
-	if !ok {
-		return nil, false, nil
-	}
-	rs, err := searchStateNode(st, node, k)
-	return rs, true, err
+	return c.cur().view.searchExpansion(exp, k)
 }
 
 // SearchExpansions evaluates a batch of expansions on a bounded worker
@@ -500,30 +418,7 @@ func (c *Client) searchExpansions(ctx context.Context, exps []*Expansion, k int,
 	if err := c.ready(ctx); err != nil {
 		return nil, err
 	}
-	st := c.cur()
-	type job struct {
-		idx  int
-		node search.Node
-	}
-	jobs := make([]job, 0, len(exps))
-	for i, exp := range exps {
-		if node, ok := exp.Query(st.sys); ok {
-			jobs = append(jobs, job{idx: i, node: node})
-		}
-	}
-	out := make([][]Result, len(exps))
-	nodes := make([]search.Node, len(jobs))
-	for i, j := range jobs {
-		nodes[i] = j.node
-	}
-	rs, err := searchStateAll(ctx, st, nodes, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, j := range jobs {
-		out[j.idx] = rs[i]
-	}
-	return out, nil
+	return c.cur().view.searchExpansions(ctx, exps, k, opts)
 }
 
 // Entity is one knowledge-base article a query mentions.

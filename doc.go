@@ -58,10 +58,12 @@
 //	results, err := pool.Search(ctx, "venice #1(grand canal)", 15)
 //	err = pool.Reload("")                         // hot-swap to the next generation
 //
-// Retrieval scatters to every shard under globally aggregated collection
-// statistics and merges, so a Pool returns bit-identical results to a
-// Client on the same world at any shard count; expansion runs once on the
-// replicated graph. Reload assembles the next generation off to the side
+// Retrieval scores every shard — plus the live delta segment, when there
+// is one — under globally aggregated collection statistics and merges the
+// rankings, one shard after another on pooled scratch: the same scorer a
+// Client runs over base+delta. A Pool therefore returns bit-identical
+// results to a Client on the same world at any shard count; expansion runs
+// once on the replicated graph. Reload assembles the next generation off to the side
 // and swaps it in with zero downtime: in-flight requests finish on the
 // generation they started with, and a failed reload (ErrBadManifest)
 // leaves serving untouched. Close retires the pool the same way — the
@@ -90,7 +92,8 @@
 // Failures are classified by sentinel, tested with errors.Is:
 // ErrBadSnapshot (undecodable snapshot bytes), ErrBadManifest (a sharded
 // generation that fails to assemble), ErrInvalidOptions (rejected option
-// values), ErrInvalidQuery (query-text parse failures), ErrNoBenchmark
+// values), ErrInvalidQuery (query text that does not parse or flatten
+// into scoring leaves, such as an all-zero #weight), ErrNoBenchmark
 // (benchmark-driven calls on a benchmark-less snapshot) and ErrClosed
 // (requests after Close). Context failures surface as context.Canceled /
 // context.DeadlineExceeded; file-system errors pass through unchanged.

@@ -7,6 +7,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
 	"testing"
 )
 
@@ -131,6 +132,51 @@ func TestErrorClassTaxonomy(t *testing.T) {
 	for _, tc := range fixed {
 		if got := ErrorClass(tc.err); got != tc.want {
 			t.Errorf("ErrorClass(%v) = %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestFlattenFailureIsInvalidQuery: a query that parses but cannot be
+// flattened into scoring leaves — an all-zero #weight — is the caller's
+// fault on every runtime and every text entry point: ErrInvalidQuery
+// (class invalid_query, HTTP 400), never an internal error.
+func TestFlattenFailureIsInvalidQuery(t *testing.T) {
+	ctx := context.Background()
+	client, dir := shardedWorld(t)
+	pool, err := OpenPool(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	topo, _ := startShardFleet(t, dir, 2, nil)
+	remote, err := OpenBackend(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+
+	const bad = "#weight(0 x)"
+	good := client.Queries()[0].Keywords
+	for _, be := range []struct {
+		name string
+		b    Backend
+	}{{"client", client}, {"pool-2", pool}, {"remote-2", remote}} {
+		for _, op := range []struct {
+			name string
+			call func() error
+		}{
+			{"Search", func() error { _, err := be.b.Search(ctx, bad, 5); return err }},
+			{"SearchInto", func() error { _, err := be.b.SearchInto(ctx, bad, 5, nil); return err }},
+			{"SearchAll", func() error {
+				_, err := be.b.SearchAll(ctx, []string{good, bad}, 5, BatchOptions{})
+				return err
+			}},
+		} {
+			err := op.call()
+			if !errors.Is(err, ErrInvalidQuery) || ErrorClass(err) != "invalid_query" {
+				t.Errorf("%s.%s(%q): err = %v (class %q), want ErrInvalidQuery",
+					be.name, op.name, bad, err, ErrorClass(err))
+			}
 		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"github.com/querygraph/querygraph/internal/search"
 )
 
 // BatchOptions bounds the concurrency of the batch serving layer.
@@ -12,28 +10,6 @@ type BatchOptions struct {
 	// Workers bounds the parallel fan-out over the batch; <= 0 means
 	// GOMAXPROCS.
 	Workers int
-}
-
-// SearchAll evaluates every query node against the engine on a bounded
-// worker pool and returns the per-query rankings in input order. Each
-// ranking follows the Engine.Search contract (top k by descending score,
-// empty non-nil slice when nothing matches). The first error stops
-// scheduling of the remaining queries and is returned; cancelling ctx
-// stops scheduling the same way and returns ctx.Err().
-func (s *System) SearchAll(ctx context.Context, queries []search.Node, k int, opts BatchOptions) ([][]search.Result, error) {
-	out := make([][]search.Result, len(queries))
-	err := forEachQuery(ctx, len(queries), opts.Workers, func(i int) error {
-		rs, err := s.Engine.Search(queries[i], k)
-		if err != nil {
-			return fmt.Errorf("core: search %d: %w", i, err)
-		}
-		out[i] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ExpandAll runs the online expansion pipeline for every keyword query on

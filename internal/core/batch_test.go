@@ -5,70 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-
-	"github.com/querygraph/querygraph/internal/search"
 )
-
-func TestSearchAllMatchesSequentialOrder(t *testing.T) {
-	s, w := testSystem(t)
-	var nodes []search.Node
-	for _, q := range w.Queries {
-		node, err := s.Engine.Parse(q.Keywords)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, node)
-	}
-	want := make([][]search.Result, len(nodes))
-	for i, n := range nodes {
-		rs, err := s.Engine.Search(n, MaxRank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = rs
-	}
-	for _, workers := range []int{0, 1, 3} {
-		got, err := s.SearchAll(context.Background(), nodes, MaxRank, BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: batch results differ from sequential", workers)
-		}
-	}
-	// Empty batch is a no-op, not an error.
-	if out, err := s.SearchAll(context.Background(), nil, MaxRank, BatchOptions{}); err != nil || len(out) != 0 {
-		t.Fatalf("empty batch = %v, %v", out, err)
-	}
-}
-
-func TestSearchAllEmptyResultContract(t *testing.T) {
-	s, _ := testSystem(t)
-	node, err := s.Engine.Parse("zzzunknownterm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.SearchAll(context.Background(), []search.Node{node}, MaxRank, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] == nil || len(out[0]) != 0 {
-		t.Fatalf("no-match batch entry = %#v, want empty non-nil slice", out[0])
-	}
-}
-
-func TestSearchAllErrorPropagation(t *testing.T) {
-	s, w := testSystem(t)
-	good, err := s.Engine.Parse(w.Queries[0].Keywords)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An empty #combine node fails flatten inside the engine.
-	nodes := []search.Node{good, search.Combine{}, good}
-	if _, err := s.SearchAll(context.Background(), nodes, MaxRank, BatchOptions{Workers: 2}); err == nil {
-		t.Fatal("batch with a broken query should fail")
-	}
-}
 
 func TestExpandAllOrderingAndCacheHits(t *testing.T) {
 	s, w := testSystem(t)

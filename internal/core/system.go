@@ -221,8 +221,8 @@ func parallelism(requested int) int {
 
 // ForEach runs fn over the indices [0, n) on a bounded worker pool with
 // the batch layer's scheduling contract (fail fast, drain on cancel) —
-// the exported form of forEachQuery for sibling internal packages
-// (internal/shard drives per-query scatter-gather through it).
+// the exported form of forEachQuery for the public runtimes' batch
+// layers.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return forEachQuery(ctx, n, workers, fn)
 }

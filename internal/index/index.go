@@ -210,15 +210,14 @@ func (ix *Index) PhrasePostingsScratch(terms []string, sc *PhraseScratch) []Post
 			return nil
 		}
 	}
-	return IntersectPhrase(lists, sc)
+	return intersectPhrase(lists, sc)
 }
 
-// IntersectPhrase computes exact-phrase postings from the constituent
+// intersectPhrase computes exact-phrase postings from the constituent
 // postings lists (lists[i] holds the postings of the phrase's i-th term;
-// any empty list means no match). It backs PhrasePostingsScratch and the
-// cross-partition union scorer, which gathers the per-partition lists
-// itself. The returned postings are fresh and do not alias sc.
-func IntersectPhrase(lists [][]Posting, sc *PhraseScratch) []Posting {
+// any empty list means no match); it backs PhrasePostingsScratch. The
+// returned postings are fresh and do not alias sc.
+func intersectPhrase(lists [][]Posting, sc *PhraseScratch) []Posting {
 	if len(lists) == 0 {
 		return nil
 	}

@@ -209,6 +209,14 @@ type Plan struct {
 	phraseScratch index.PhraseScratch
 }
 
+// release drops the plan's references to its leaves and postings before
+// it goes back to a pool, so a pooled plan pins neither caller (or
+// cached) leaves nor the index it was planned against.
+func (p *Plan) release() {
+	p.leaves = nil
+	clear(p.postings)
+}
+
 // NumLeaves returns the number of scoring leaves in the plan.
 func (p *Plan) NumLeaves() int { return len(p.leaves) }
 
@@ -313,7 +321,7 @@ func (e *Engine) SearchLeaves(leaves []Leaf, k int, dst []Result) ([]Result, err
 	p, _ := e.planPool.Get().(*Plan)
 	p = e.PlanLeavesInto(p, leaves)
 	rs, err := e.SearchPlanInto(p, k, nil, dst)
-	p.leaves = nil // do not pin caller (or cached) leaves across pool reuse
+	p.release()
 	e.planPool.Put(p)
 	return rs, err
 }

@@ -1,12 +1,14 @@
 package search
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Source is one index of a logically concatenated collection: its engine
-// plus the local→global doc-id translation. The live runtime searches two
-// sources per request — the base snapshot and the in-memory delta segment
-// (internal/live) — but the algorithm is the same scatter the sharded
-// runtime runs over N partitions.
+// plus the local→global doc-id translation. The sharded runtime's
+// partitions (DocMap) and the live delta segment (Offset) are both
+// sources, and SearchSourcesLeaves scores any list of them as one index.
 type Source struct {
 	// Engine scores this source's slice of the collection.
 	Engine *Engine
@@ -25,8 +27,7 @@ type Source struct {
 // ids, and merge by (score desc, global doc asc). Because a document's
 // Dirichlet score depends only on its own term frequencies and lengths
 // plus the merged collection statistics, the ranking is bit-identical to
-// a cold rebuild holding the same documents — the same argument (and the
-// same Plan/SearchPlan machinery) that makes the sharded runtime exact.
+// a cold rebuild holding the same documents.
 //
 // totalTokens is the merged collection length (the sum of the sources'
 // TotalTokens). k <= 0 ranks every candidate. A query with no matching
@@ -42,23 +43,32 @@ func SearchSources(sources []Source, totalTokens int64, q Node, k int) ([]Result
 // SearchSourcesLeaves is SearchSources on pre-flattened leaves, reusing
 // dst's storage for the returned ranking (dst may be nil). Callers with
 // a warm leaves cache (Engine.LeavesForQuery) use this form to skip the
-// parse.
+// parse. It is the one in-process scorer for a collection split over
+// several indexes — shards, base+delta, or both — and runs the sources
+// sequentially on pooled scratch, so with a recycled dst the scatter
+// allocates nothing at steady state. A single source that needs no id
+// translation and carries the whole collection goes straight to
+// Engine.SearchLeaves.
 func SearchSourcesLeaves(sources []Source, totalTokens int64, leaves []Leaf, k int, dst []Result) ([]Result, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("search: no sources")
 	}
-	plans := make([]*Plan, len(sources))
-	leafCF := make([]int64, len(leaves))
+	if s := sources[0]; len(sources) == 1 && s.DocMap == nil && s.Offset == 0 &&
+		totalTokens == s.Engine.ix.TotalTokens() {
+		return s.Engine.SearchLeaves(leaves, k, dst)
+	}
+	sc := getSourcesScratch(len(sources), len(leaves))
+	defer sc.put()
+	leafCF := sc.leafCF
 	for i := range sources {
-		plans[i] = sources[i].Engine.PlanLeaves(leaves)
+		sc.plans[i] = sources[i].Engine.PlanLeavesInto(sc.plans[i], leaves)
 		for j := range leafCF {
-			leafCF[j] += plans[i].LocalCF(j)
+			leafCF[j] += sc.plans[i].LocalCF(j)
 		}
 	}
 	stats := &Stats{TotalTokens: totalTokens, LeafCF: leafCF}
-	locals := make([][]Result, len(sources))
 	for i := range sources {
-		rs, err := sources[i].Engine.SearchPlan(plans[i], k, stats)
+		rs, err := sources[i].Engine.SearchPlanInto(sc.plans[i], k, stats, sc.locals[i][:0])
 		if err != nil {
 			return nil, err
 		}
@@ -71,9 +81,53 @@ func SearchSourcesLeaves(sources []Source, totalTokens int64, leaves []Leaf, k i
 				rs[j].Doc += off
 			}
 		}
-		locals[i] = rs
+		sc.locals[i] = rs
 	}
-	return MergeRankedScratch(dst, locals, k, make([]int, len(locals))), nil
+	return MergeRankedScratch(dst, sc.locals, k, sc.cursors), nil
+}
+
+// sourcesScratch is the pooled per-query state of SearchSourcesLeaves:
+// one plan and one local ranking per source, the summed leaf
+// frequencies and the merge cursors. One pool serves every source list,
+// and getSourcesScratch sizes an entry to the query at hand.
+type sourcesScratch struct {
+	plans   []*Plan
+	leafCF  []int64
+	locals  [][]Result
+	cursors []int
+}
+
+var sourcesPool = sync.Pool{New: func() any { return new(sourcesScratch) }}
+
+func getSourcesScratch(sources, leaves int) *sourcesScratch {
+	sc := sourcesPool.Get().(*sourcesScratch)
+	if cap(sc.plans) < sources {
+		sc.plans = make([]*Plan, sources)
+		for i := range sc.plans {
+			sc.plans[i] = &Plan{}
+		}
+		sc.locals = make([][]Result, sources)
+		sc.cursors = make([]int, sources)
+	}
+	sc.plans = sc.plans[:sources]
+	sc.locals = sc.locals[:sources]
+	sc.cursors = sc.cursors[:sources]
+	if cap(sc.leafCF) < leaves {
+		sc.leafCF = make([]int64, leaves)
+	}
+	sc.leafCF = sc.leafCF[:leaves]
+	clear(sc.leafCF)
+	return sc
+}
+
+// put returns the scratch to the pool, first dropping the plans'
+// references to the leaves and postings they were built from, so a
+// pooled entry never pins a retired index generation.
+func (sc *sourcesScratch) put() {
+	for _, p := range sc.plans {
+		p.release()
+	}
+	sourcesPool.Put(sc)
 }
 
 // MergeRanked merges per-source rankings — each ordered by (score desc,

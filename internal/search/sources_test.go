@@ -1,8 +1,10 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/querygraph/querygraph/internal/index"
@@ -130,5 +132,104 @@ func TestSearchSourcesEmpty(t *testing.T) {
 	}
 	if _, err := SearchSources(nil, 0, node, 5); err == nil {
 		t.Fatal("zero sources: want error")
+	}
+}
+
+// TestSearchSourcesConcurrentScratch: concurrent searches over source
+// lists of different lengths and index sizes share the one scratch pool,
+// and every ranking — with and without a recycled dst — must equal the
+// sequential one, which must equal the monolithic index's. Run it under
+// -race.
+func TestSearchSourcesConcurrentScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vocab := []string{"motif", "graph", "query", "expansion", "cycle", "hub", "wiki"}
+	queries := []string{
+		"motif graph",
+		"#combine(wiki #1(graph query))",
+		"#weight(2 cycle 1 #1(motif graph) 3 hub)",
+		"expansion hub wiki query",
+	}
+	type job struct {
+		sources []Source
+		total   int64
+		leaves  []Leaf
+		k       int
+		want    []Result
+	}
+	var jobs []job
+	for n := 1; n <= 6; n++ {
+		docs := make([][]string, rng.Intn(20*n)+n)
+		for i := range docs {
+			for j := rng.Intn(12); j > 0; j-- {
+				docs[i] = append(docs[i], vocab[rng.Intn(len(vocab))])
+			}
+		}
+		mono := buildTokenEngine(t, docs)
+		// Deal the documents to n shard-style sources at random.
+		parts := make([][][]string, n)
+		maps := make([][]int32, n)
+		for g, d := range docs {
+			s := rng.Intn(n)
+			parts[s] = append(parts[s], d)
+			maps[s] = append(maps[s], int32(g))
+		}
+		sources := make([]Source, n)
+		for s := range sources {
+			sources[s] = Source{Engine: buildTokenEngine(t, parts[s]), DocMap: maps[s]}
+		}
+		for _, q := range queries {
+			node, err := mono.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaves, err := Flatten(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{0, 3} {
+				want, err := SearchSourcesLeaves(sources, mono.Index().TotalTokens(), leaves, k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mw, err := mono.Search(node, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, mw) {
+					t.Fatalf("%d sources, %q, k=%d:\nmono    %v\nsources %v", n, q, k, mw, want)
+				}
+				jobs = append(jobs, job{sources, mono.Index().TotalTokens(), leaves, k, want})
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var dst []Result
+			for round := 0; round < 20; round++ {
+				for i := range jobs {
+					j := jobs[(i*7+w+round)%len(jobs)]
+					if w%2 == 1 {
+						dst = nil
+					}
+					got, err := SearchSourcesLeaves(j.sources, j.total, j.leaves, j.k, dst)
+					if err != nil || !reflect.DeepEqual(got, j.want) {
+						errs <- fmt.Sprintf("worker %d: %d sources, k=%d: got %v (%v), want %v",
+							w, len(j.sources), j.k, got, err, j.want)
+						return
+					}
+					dst = got
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

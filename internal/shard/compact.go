@@ -69,8 +69,8 @@ func Fold(s *Set, delta *live.Delta) ([]*store.Archive, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: fold shard %d: %w", sh, err)
 		}
-		docGlobal := make([]int32, 0, len(s.docMaps[sh])+len(newGlobals[sh]))
-		docGlobal = append(docGlobal, s.docMaps[sh]...)
+		docGlobal := make([]int32, 0, len(s.sources[sh].DocMap)+len(newGlobals[sh]))
+		docGlobal = append(docGlobal, s.sources[sh].DocMap...)
 		docGlobal = append(docGlobal, newGlobals[sh]...)
 		arch := sys.Archive(s.queries)
 		arch.Collection = coll

@@ -16,51 +16,17 @@ import (
 // scatter-gather. A Set is immutable after Load and safe for concurrent
 // use; hot reload (querygraph.Pool) swaps whole Sets.
 //
-// Division of labor: retrieval scatters to every shard and merges;
+// Division of labor: retrieval scores every shard as one source of
+// search.SearchSourcesLeaves, the single in-process multi-index scorer;
 // expansion runs once on shard 0's replicated graph (the expansion cache
 // therefore lives on shard 0's System).
 type Set struct {
 	systems []*core.System
 	queries []core.Query
-	// docMaps[s] maps shard s's dense local doc ids to global ids.
-	docMaps      [][]int32
+	// sources[s] is shard s's engine with its local→global doc-id map.
+	sources      []search.Source
 	globalDocs   int
 	globalTokens int64
-
-	// union is the fused in-process scorer over all shards (one global
-	// accumulator, one heap) — the batch hot path. The per-shard
-	// scatter-gather path (searchNode) remains the distributable
-	// architecture and serves concurrent single-query fan-out.
-	union *search.Union
-
-	// scratch pools the per-query scatter state (plans, aggregated leaf
-	// frequencies, per-shard rankings, merge cursors) so the hot path does
-	// not reallocate it per query.
-	scratch sync.Pool
-}
-
-// setScratch is the pooled per-query scatter state.
-type setScratch struct {
-	plans   []*search.Plan
-	leafCF  []int64
-	locals  [][]search.Result
-	cursors []int
-}
-
-func (s *Set) getScratch() *setScratch {
-	sc, _ := s.scratch.Get().(*setScratch)
-	n := len(s.systems)
-	if sc == nil {
-		sc = &setScratch{
-			plans:   make([]*search.Plan, n),
-			locals:  make([][]search.Result, n),
-			cursors: make([]int, n),
-		}
-		for i := range sc.plans {
-			sc.plans[i] = &search.Plan{}
-		}
-	}
-	return sc
 }
 
 // Load opens every shard named by the manifest (concurrently — decode
@@ -94,7 +60,7 @@ func Load(manifestPath string, opts ...core.SystemOption) (*Set, error) {
 
 	set := &Set{
 		systems: make([]*core.System, n),
-		docMaps: make([][]int32, n),
+		sources: make([]search.Source, n),
 	}
 	ref := archives[0]
 	if ref.Shard == nil {
@@ -131,7 +97,6 @@ func Load(manifestPath string, opts ...core.SystemOption) (*Set, error) {
 			seen[g] = true
 		}
 		covered += len(sh.DocGlobal)
-		set.docMaps[s] = sh.DocGlobal
 
 		shardOpts := opts
 		if s != 0 {
@@ -144,6 +109,7 @@ func Load(manifestPath string, opts ...core.SystemOption) (*Set, error) {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		set.systems[s] = sys
+		set.sources[s] = search.Source{Engine: sys.Engine, DocMap: sh.DocGlobal}
 		if s == 0 {
 			set.queries = queries
 		}
@@ -151,15 +117,6 @@ func Load(manifestPath string, opts ...core.SystemOption) (*Set, error) {
 	if covered != set.globalDocs {
 		return nil, fmt.Errorf("shards cover %d of %d global documents", covered, set.globalDocs)
 	}
-	engines := make([]*search.Engine, n)
-	for i, sys := range set.systems {
-		engines[i] = sys.Engine
-	}
-	union, err := search.NewUnion(engines, set.docMaps, set.globalDocs, set.globalTokens)
-	if err != nil {
-		return nil, err
-	}
-	set.union = union
 	return set, nil
 }
 
@@ -193,161 +150,33 @@ func (s *Set) Parse(query string) (search.Node, error) {
 	return s.systems[0].Engine.Parse(query)
 }
 
-// ExpansionQuery builds the expanded title query for an expansion against
-// the replicated graph (ok = false when there is nothing to search for).
-func (s *Set) ExpansionQuery(exp *core.Expansion) (search.Node, bool) {
-	return exp.Query(s.systems[0])
-}
+// Sources returns the shards as scorer sources (index = shard id), each
+// translating its local doc ids to global ones. Treat as read-only.
+func (s *Set) Sources() []search.Source { return s.sources }
 
-// Search evaluates one parsed query across all shards with the scatter
-// phases run concurrently, and merges the per-shard top k into the global
-// top k (descending score, ties by ascending global doc id) — exactly the
-// single-system ranking, because every shard scores under the globally
-// aggregated statistics.
+// Search evaluates one parsed query across all shards and returns the
+// global top k (descending score, ties by ascending global doc id) —
+// exactly the single-system ranking, because every shard scores under
+// the globally aggregated statistics.
 func (s *Set) Search(ctx context.Context, node search.Node, k int) ([]search.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.searchNode(node, k, len(s.systems) > 1)
+	return search.SearchSources(s.sources, s.globalTokens, node, k)
 }
 
 // SearchExtra is Search with one extra in-memory source appended to the
-// shard fan-out — the live delta segment sitting above this generation.
-// Every source (shards and extra alike) scores under the summed collection
-// statistics (globalTokens + extraTokens, per-leaf collection frequencies
-// aggregated across all sources), so the merged ranking is bit-identical
-// to a monolithic index containing the base and extra documents together.
+// shards — the live delta segment sitting above this generation. Every
+// source scores under the summed collection statistics (globalTokens +
+// extraTokens, per-leaf collection frequencies aggregated across all
+// sources), so the merged ranking is bit-identical to a monolithic index
+// containing the base and extra documents together.
 func (s *Set) SearchExtra(ctx context.Context, node search.Node, k int, extra search.Source, extraTokens int64) ([]search.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sources := make([]search.Source, 0, len(s.systems)+1)
-	for i, sys := range s.systems {
-		sources = append(sources, search.Source{Engine: sys.Engine, DocMap: s.docMaps[i]})
-	}
-	sources = append(sources, extra)
+	sources := append(s.sources[:len(s.sources):len(s.sources)], extra)
 	return search.SearchSources(sources, s.globalTokens+extraTokens, node, k)
-}
-
-// SearchAll evaluates a batch of parsed queries on a bounded worker pool
-// (input order preserved, fail-fast, cancel-aware — the batch contract of
-// core.System.SearchAll). The batch already saturates the cores with one
-// worker per query, so each query takes the fused union scorer — one
-// global accumulator over all shards, no per-shard heaps or merge — which
-// runs the single-system instruction stream over the partitioned
-// postings.
-func (s *Set) SearchAll(ctx context.Context, nodes []search.Node, k int, opts core.BatchOptions) ([][]search.Result, error) {
-	out := make([][]search.Result, len(nodes))
-	err := core.ForEach(ctx, len(nodes), opts.Workers, func(i int) error {
-		rs, err := s.union.Search(nodes[i], k)
-		if err != nil {
-			return fmt.Errorf("shard: search %d: %w", i, err)
-		}
-		out[i] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// searchNode is the scatter-gather core: plan the flattened leaves on
-// every shard, sum the per-leaf collection frequencies into the global
-// statistics (exact integer addition — aggregation order cannot perturb
-// scores), score every shard under those statistics, map local doc ids to
-// global, and merge.
-func (s *Set) searchNode(node search.Node, k int, concurrent bool) ([]search.Result, error) {
-	leaves, err := search.Flatten(node)
-	if err != nil {
-		return nil, err
-	}
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-	plans := sc.plans
-	s.eachShard(concurrent, func(i int) error {
-		plans[i] = s.systems[i].Engine.PlanLeavesInto(plans[i], leaves)
-		return nil
-	})
-
-	if cap(sc.leafCF) < len(leaves) {
-		sc.leafCF = make([]int64, len(leaves))
-	}
-	leafCF := sc.leafCF[:len(leaves)]
-	for j := range leafCF {
-		leafCF[j] = 0
-	}
-	for _, plan := range plans {
-		for j := range leafCF {
-			leafCF[j] += plan.LocalCF(j)
-		}
-	}
-	stats := &search.Stats{TotalTokens: s.globalTokens, LeafCF: leafCF}
-
-	locals := sc.locals
-	if err := s.eachShard(concurrent, func(i int) error {
-		rs, err := s.systems[i].Engine.SearchPlan(plans[i], k, stats)
-		if err != nil {
-			return err
-		}
-		if dm := s.docMaps[i]; dm != nil {
-			for j := range rs {
-				rs[j].Doc = dm[rs[j].Doc]
-			}
-		}
-		locals[i] = rs
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return mergeRanked(locals, k, sc.cursors), nil
-}
-
-// eachShard runs fn over every shard index, concurrently when asked, and
-// returns the first error in shard order.
-func (s *Set) eachShard(concurrent bool, fn func(i int) error) error {
-	n := len(s.systems)
-	if !concurrent || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergeRanked merges the per-shard rankings into the global top k.
-// The algorithm lives in search.MergeRankedScratch, shared with the
-// live runtime's base+delta merge; cursors is caller-provided scratch
-// of at least len(locals).
-func mergeRanked(locals [][]search.Result, k int, cursors []int) []search.Result {
-	return search.MergeRankedScratch(nil, locals, k, cursors)
-}
-
-// MergeRanked merges per-shard rankings — each ordered by (score desc,
-// global doc asc) — into the global top k, exactly like the in-process
-// scatter-gather path. Exported for the network coordinator
-// (querygraph.Remote), whose remote shards return rankings of the same
-// shape; sharing the merge is what keeps the two runtimes bit-identical.
-func MergeRanked(locals [][]search.Result, k int) []search.Result {
-	return search.MergeRanked(locals, k)
 }
 
 // Expand runs the online expansion pipeline once on the replicated graph

@@ -85,6 +85,35 @@ func mergedArchive(st *clientState, queries []Query) (*store.Archive, error) {
 	return arch, nil
 }
 
+// admitIngest is the ingest admission of both runtimes: it returns the
+// delta segment cur extended by docs, or admits nothing when the batch
+// would exceed capacity (ErrDeltaFull), repeats an external id held by a
+// base system (ErrInvalidOptions), or fails live.Append — an id repeated
+// within the segment — wrapped in ErrInvalidOptions. bases are the
+// systems under the segment (a Pool's shards); the first one fixes the
+// segment's configuration.
+func admitIngest(cur *live.Delta, capacity int, bases []*core.System, baseDocs int, docs []Document) (*live.Delta, error) {
+	if held := cur.NumDocs(); held+len(docs) > capacity {
+		return nil, fmt.Errorf("%w: %d held + %d submitted exceeds capacity %d",
+			ErrDeltaFull, held, len(docs), capacity)
+	}
+	for _, d := range docs {
+		if d.ID == "" {
+			continue
+		}
+		for _, sys := range bases {
+			if _, ok := sys.Collection.ByExternalID(d.ID); ok {
+				return nil, fmt.Errorf("%w: duplicate external id %q", ErrInvalidOptions, d.ID)
+			}
+		}
+	}
+	next, err := live.Append(cur, liveConfigOf(bases[0]), baseDocs, docs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+	}
+	return next, nil
+}
+
 // Ingest appends documents to the client's in-memory delta segment; they
 // are searchable by the time the call returns — scored under merged
 // base+delta collection statistics, bit-identical to a rebuilt index —
@@ -116,23 +145,11 @@ func (c *Client) ingest(ctx context.Context, docs []Document) (IngestStats, erro
 	if len(docs) == 0 {
 		return out, nil
 	}
-	if held := cur.delta.NumDocs(); held+len(docs) > c.deltaCap {
-		return out, fmt.Errorf("%w: %d held + %d submitted exceeds capacity %d",
-			ErrDeltaFull, held, len(docs), c.deltaCap)
-	}
-	for _, d := range docs {
-		if d.ID == "" {
-			continue
-		}
-		if _, ok := cur.sys.Collection.ByExternalID(d.ID); ok {
-			return out, fmt.Errorf("%w: duplicate external id %q", ErrInvalidOptions, d.ID)
-		}
-	}
-	next, err := live.Append(cur.delta, liveConfigOf(cur.sys), cur.sys.Collection.Len(), docs)
+	next, err := admitIngest(cur.delta, c.deltaCap, []*core.System{cur.sys}, cur.sys.Collection.Len(), docs)
 	if err != nil {
-		return out, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		return out, err
 	}
-	c.st.Store(&clientState{sys: cur.sys, delta: next, gen: cur.gen})
+	c.st.Store(newClientState(cur.sys, next, cur.gen))
 	c.maybeAutoCompactLocked(next.NumDocs())
 	return IngestStats{
 		Ingested:   len(docs),
@@ -185,7 +202,7 @@ func (c *Client) compactLocked() (CompactStats, error) {
 	if err != nil {
 		return CompactStats{Generation: cur.gen}, err
 	}
-	next := &clientState{sys: sys, gen: cur.gen + 1}
+	next := newClientState(sys, nil, cur.gen+1)
 	c.st.Store(next)
 	c.compactions.Add(1)
 	return CompactStats{

@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/live"
-	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/shard"
 	"github.com/querygraph/querygraph/internal/trace"
 )
@@ -69,14 +67,15 @@ type poolGeneration struct {
 	set *shard.Set
 	seq uint64
 
-	// delta is the live segment above this generation's base snapshot
-	// (nil = empty). The serving path loads it lock-free together with
-	// set; every store happens under the pool's mu (enforced by the
-	// atomicguard analyzer). It lives with the generation so a pinned
-	// request sees one consistent base+delta pair.
+	// state is the live delta segment above this generation's base
+	// snapshot together with the scorer's view of shards+delta. The
+	// serving path loads it lock-free together with set; every store
+	// happens under the pool's mu (enforced by the atomicguard analyzer).
+	// It lives with the generation so a pinned request sees one
+	// consistent base+delta pair.
 	//
 	//qlint:guarded-by mu
-	delta atomic.Pointer[live.Delta]
+	state atomic.Pointer[poolState]
 
 	refs      atomic.Int64
 	retired   atomic.Bool
@@ -84,11 +83,31 @@ type poolGeneration struct {
 	drainOnce sync.Once
 }
 
-func newPoolGeneration(set *shard.Set, seq uint64) *poolGeneration {
+// poolState is one published delta segment (nil = empty) and the view
+// that scores the generation's shards plus that segment.
+type poolState struct {
+	delta *live.Delta
+	view  sourceView
+}
+
+func newPoolState(set *shard.Set, delta *live.Delta) *poolState {
+	return &poolState{
+		delta: delta,
+		view:  newSourceView(set.Systems()[0], set.Sources(), set.GlobalTokens(), delta),
+	}
+}
+
+// newPoolGeneration wraps a loaded set, carrying delta (nil = empty)
+// above it.
+func newPoolGeneration(set *shard.Set, seq uint64, delta *live.Delta) *poolGeneration {
 	g := &poolGeneration{set: set, seq: seq, drained: make(chan struct{})}
 	g.refs.Store(1)
+	g.state.Store(newPoolState(set, delta)) //qlint:ignore atomicguard constructor: g has not escaped, no concurrent reader or writer exists yet
 	return g
 }
+
+// delta returns the generation's current delta segment (nil = empty).
+func (g *poolGeneration) delta() *live.Delta { return g.state.Load().delta }
 
 func (g *poolGeneration) release() {
 	if g.refs.Add(-1) == 0 && g.retired.Load() {
@@ -119,7 +138,7 @@ func OpenPool(manifestPath string, opts ...Option) (*Pool, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
 	p := &Pool{manifestPath: manifestPath, cfg: cfg, seq: 1}
-	p.gen.Store(newPoolGeneration(set, 1)) //qlint:ignore atomicguard constructor: p has not escaped, no concurrent Reload/Close exists yet
+	p.gen.Store(newPoolGeneration(set, 1, nil)) //qlint:ignore atomicguard constructor: p has not escaped, no concurrent Reload/Close exists yet
 	return p, nil
 }
 
@@ -180,17 +199,17 @@ func (p *Pool) reloadLocked(manifestPath string) (generation uint64, shards int,
 		// The old generation keeps serving; report its coordinates.
 		return cur.seq, cur.set.NumShards(), fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
-	p.seq++
-	next := newPoolGeneration(set, p.seq)
 	// Carry a pending delta segment into the new generation when it still
 	// fits: same base document count, same engine configuration — i.e. the
 	// reloaded manifest is the same corpus the segment was ingested above
 	// (a reload after Compact lands here with an already-empty delta). A
 	// manifest with different shape supersedes the segment and drops it.
-	if d := cur.delta.Load(); d.NumDocs() > 0 &&
-		d.BaseDocs() == set.GlobalDocs() && d.Config() == liveConfigOf(set.Systems()[0]) {
-		next.delta.Store(d)
+	d := cur.delta()
+	if d.NumDocs() == 0 || d.BaseDocs() != set.GlobalDocs() || d.Config() != liveConfigOf(set.Systems()[0]) {
+		d = nil
 	}
+	p.seq++
+	next := newPoolGeneration(set, p.seq, d)
 	old := p.gen.Swap(next)
 	p.manifestPath = manifestPath
 	p.reloads.Add(1)
@@ -284,85 +303,31 @@ func (p *Pool) Link(keywords string) []Entity {
 	return out
 }
 
-// parseWith mirrors the client's parse: raw query text to AST, failures
-// wrapping ErrInvalidQuery.
-func parseWith(set *shard.Set, query string) (search.Node, error) {
-	node, err := set.Parse(query)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
-	}
-	return node, nil
-}
-
-// searchGen evaluates one parsed query on a pinned generation: the
-// delta-free fast path keeps the shard scatter-gather untouched, a live
-// delta joins the fan-out as one extra source under merged statistics.
-func searchGen(ctx context.Context, g *poolGeneration, node search.Node, k int) ([]Result, error) {
-	if d := g.delta.Load(); d != nil && d.NumDocs() > 0 {
-		return g.set.SearchExtra(ctx, node, k, d.Source(), d.TotalTokens())
-	}
-	return g.set.Search(ctx, node, k)
-}
-
-// searchGenAll is the batch form of searchGen: delta-free batches keep
-// the fused union scorer, delta batches fan the extra-source search out
-// over the same bounded worker pool. The whole batch runs on the pinned
-// generation.
-func searchGenAll(ctx context.Context, g *poolGeneration, nodes []search.Node, k int, opts BatchOptions) ([][]Result, error) {
-	d := g.delta.Load()
-	if d == nil || d.NumDocs() == 0 {
-		return g.set.SearchAll(ctx, nodes, k, opts)
-	}
-	out := make([][]Result, len(nodes))
-	err := core.ForEach(ctx, len(nodes), opts.Workers, func(i int) error {
-		rs, err := g.set.SearchExtra(ctx, nodes[i], k, d.Source(), d.TotalTokens())
-		if err != nil {
-			return fmt.Errorf("search %d: %w", i, err)
-		}
-		out[i] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Search is Client.Search over the sharded generation: scatter to every
-// shard, score under global statistics, merge to the global top k. Same
-// contract (top k by descending score, ties by ascending global doc id,
-// empty non-nil slice on no match, k <= 0 ranks all candidates).
+// Search is Client.Search over the sharded generation: every shard (and
+// the live delta) scores under the global statistics and the rankings
+// merge into the global top k. Same contract (top k by descending score,
+// ties by ascending global doc id, empty non-nil slice on no match,
+// k <= 0 ranks all candidates).
 func (p *Pool) Search(ctx context.Context, query string, k int) ([]Result, error) {
 	start := time.Now()
-	rs, shards, err := p.searchText(ctx, query, k)
+	rs, shards, err := p.searchText(ctx, query, k, nil)
 	p.obs().search(start, k, shards, false, err)
 	return rs, err
 }
 
 // SearchInto is Search reusing dst's storage for the returned ranking
-// (dst may be nil). The scatter-gather itself still allocates per-shard
-// merge state — the zero-allocation steady state is a *Client property —
-// but the contract (results copied into dst, query and dst not retained)
-// is identical, so front ends program against one Backend shape.
+// (dst may be nil). As on a Client, the steady state — the query's parsed
+// plan in shard 0's memoized cache, dst recycled by the caller — scores
+// every shard on pooled scratch and allocates nothing. Neither query nor
+// dst is retained beyond the call.
 func (p *Pool) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
 	start := time.Now()
-	rs, shards, err := p.searchIntoText(ctx, query, k, dst)
+	rs, shards, err := p.searchText(ctx, query, k, dst)
 	p.obs().search(start, k, shards, false, err)
 	return rs, err
 }
 
-func (p *Pool) searchIntoText(ctx context.Context, query string, k int, dst []Result) ([]Result, int, error) {
-	rs, shards, err := p.searchText(ctx, query, k)
-	if err != nil {
-		return nil, shards, err
-	}
-	if dst == nil && rs != nil {
-		return rs, shards, nil
-	}
-	return append(dst[:0], rs...), shards, nil
-}
-
-func (p *Pool) searchText(ctx context.Context, query string, k int) ([]Result, int, error) {
+func (p *Pool) searchText(ctx context.Context, query string, k int, dst []Result) ([]Result, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -371,34 +336,14 @@ func (p *Pool) searchText(ctx context.Context, query string, k int) ([]Result, i
 		return nil, 0, err
 	}
 	defer g.release()
-	// The untraced branch is the pinned 0 allocs/op fast path: one
-	// context lookup, then exactly the pre-trace code.
-	tr := trace.FromContext(ctx)
-	if tr == nil {
-		node, err := parseWith(g.set, query)
-		if err != nil {
-			return nil, g.set.NumShards(), err
-		}
-		rs, err := searchGen(ctx, g, node, k)
-		return rs, g.set.NumShards(), err
-	}
-	parseStart := time.Now()
-	node, err := parseWith(g.set, query)
-	if err != nil {
-		tr.Span("parse", parseStart, "invalid_query")
-		return nil, g.set.NumShards(), err
-	}
-	tr.Span("parse", parseStart, "")
-	searchStart := time.Now()
-	rs, err := searchGen(ctx, g, node, k)
-	tr.Span("search", searchStart, ErrorClass(err))
+	rs, err := g.state.Load().view.searchText(ctx, query, k, dst)
 	return rs, g.set.NumShards(), err
 }
 
-// SearchAll is Client.SearchAll over the sharded generation: the batch
-// fans out over a bounded worker pool and each worker runs its query's
-// scatter-gather. The whole batch runs on the generation current at call
-// time, even if a Reload lands mid-batch.
+// SearchAll is Client.SearchAll over the sharded generation: the queries
+// are parsed up front, then scored on a bounded worker pool, each worker
+// running its query over every shard. The whole batch runs on the
+// generation current at call time, even if a Reload lands mid-batch.
 func (p *Pool) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
 	start := time.Now()
 	rss, shards, err := p.searchAll(ctx, queries, k, opts)
@@ -415,15 +360,7 @@ func (p *Pool) searchAll(ctx context.Context, queries []string, k int, opts Batc
 		return nil, 0, err
 	}
 	defer g.release()
-	nodes := make([]search.Node, len(queries))
-	for i, q := range queries {
-		node, err := parseWith(g.set, q)
-		if err != nil {
-			return nil, g.set.NumShards(), fmt.Errorf("query %d: %w", i, err)
-		}
-		nodes[i] = node
-	}
-	rss, err := searchGenAll(ctx, g, nodes, k, opts)
+	rss, err := g.state.Load().view.searchAll(ctx, queries, k, opts)
 	return rss, g.set.NumShards(), err
 }
 
@@ -504,12 +441,8 @@ func (p *Pool) searchExpansion(ctx context.Context, exp *Expansion, k int) ([]Re
 		return nil, false, 0, err
 	}
 	defer g.release()
-	node, ok := g.set.ExpansionQuery(exp)
-	if !ok {
-		return nil, false, g.set.NumShards(), nil
-	}
-	rs, err := searchGen(ctx, g, node, k)
-	return rs, true, g.set.NumShards(), err
+	rs, ok, err := g.state.Load().view.searchExpansion(exp, k)
+	return rs, ok, g.set.NumShards(), err
 }
 
 // SearchExpansions is Client.SearchExpansions over the sharded
@@ -530,34 +463,13 @@ func (p *Pool) searchExpansions(ctx context.Context, exps []*Expansion, k int, o
 		return nil, 0, err
 	}
 	defer g.release()
-	type job struct {
-		idx  int
-		node search.Node
-	}
-	jobs := make([]job, 0, len(exps))
-	for i, exp := range exps {
-		if node, ok := g.set.ExpansionQuery(exp); ok {
-			jobs = append(jobs, job{idx: i, node: node})
-		}
-	}
-	nodes := make([]search.Node, len(jobs))
-	for i, j := range jobs {
-		nodes[i] = j.node
-	}
-	rs, err := searchGenAll(ctx, g, nodes, k, opts)
-	if err != nil {
-		return nil, g.set.NumShards(), err
-	}
-	out := make([][]Result, len(exps))
-	for i, j := range jobs {
-		out[j.idx] = rs[i]
-	}
-	return out, g.set.NumShards(), nil
+	rss, err := g.state.Load().view.searchExpansions(ctx, exps, k, opts)
+	return rss, g.set.NumShards(), err
 }
 
 // Ingest appends documents to the current generation's in-memory delta
-// segment; they are searchable by the time the call returns — joined to
-// the shard fan-out as one extra source under merged collection
+// segment; they are searchable by the time the call returns — scored
+// with the shards as one extra source under merged collection
 // statistics, bit-identical to a re-partitioned rebuild — and survive
 // into the next compaction. The batch is atomic: a duplicate external id
 // (against every shard and the segment itself) or a segment past its
@@ -580,7 +492,7 @@ func (p *Pool) ingest(ctx context.Context, docs []Document) (IngestStats, int, e
 		return IngestStats{}, 0, ErrClosed
 	}
 	shards := g.set.NumShards()
-	cur := g.delta.Load()
+	cur := g.delta()
 	out := IngestStats{
 		DeltaDocs:  cur.NumDocs(),
 		DeltaBytes: cur.Bytes(),
@@ -589,25 +501,11 @@ func (p *Pool) ingest(ctx context.Context, docs []Document) (IngestStats, int, e
 	if len(docs) == 0 {
 		return out, shards, nil
 	}
-	if held := cur.NumDocs(); held+len(docs) > p.cfg.deltaCapacity() {
-		return out, shards, fmt.Errorf("%w: %d held + %d submitted exceeds capacity %d",
-			ErrDeltaFull, held, len(docs), p.cfg.deltaCapacity())
-	}
-	for _, d := range docs {
-		if d.ID == "" {
-			continue
-		}
-		for _, sys := range g.set.Systems() {
-			if _, ok := sys.Collection.ByExternalID(d.ID); ok {
-				return out, shards, fmt.Errorf("%w: duplicate external id %q", ErrInvalidOptions, d.ID)
-			}
-		}
-	}
-	next, err := live.Append(cur, liveConfigOf(g.set.Systems()[0]), g.set.GlobalDocs(), docs)
+	next, err := admitIngest(cur, p.cfg.deltaCapacity(), g.set.Systems(), g.set.GlobalDocs(), docs)
 	if err != nil {
-		return out, shards, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		return out, shards, err
 	}
-	g.delta.Store(next) //qlint:ignore atomicguard p.mu is held since the Lock above; the generation's guard is the pool's mutex
+	g.state.Store(newPoolState(g.set, next)) //qlint:ignore atomicguard p.mu is held since the Lock above; the generation's guard is the pool's mutex
 	p.maybeAutoCompactLocked(next.NumDocs())
 	return IngestStats{
 		Ingested:   len(docs),
@@ -654,7 +552,7 @@ func (p *Pool) compactLocked() (CompactStats, int, error) {
 		return CompactStats{}, 0, ErrClosed
 	}
 	shards := g.set.NumShards()
-	delta := g.delta.Load()
+	delta := g.delta()
 	if delta.NumDocs() == 0 {
 		return CompactStats{Documents: g.set.GlobalDocs(), Generation: g.seq}, shards, nil
 	}
@@ -670,7 +568,7 @@ func (p *Pool) compactLocked() (CompactStats, int, error) {
 		return CompactStats{Generation: g.seq}, shards, fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
 	p.seq++
-	next := newPoolGeneration(set, p.seq)
+	next := newPoolGeneration(set, p.seq, nil)
 	old := p.gen.Swap(next)
 	p.compactions.Add(1)
 	old.retire()
@@ -756,7 +654,7 @@ func (p *Pool) PoolStats() PoolStats {
 func poolStatsOf(g *poolGeneration, compactions uint64) PoolStats {
 	systems := g.set.Systems()
 	st := systems[0].Snapshot.Stats()
-	delta := g.delta.Load()
+	delta := g.delta()
 	ps := PoolStats{
 		Stats: Stats{
 			Articles:         st.Articles,

@@ -48,6 +48,9 @@ fi
 step "go test"
 go test -shuffle=on ./...
 
+step "benchmark module (go vet + go test)"
+(cd benchmark && go vet ./... && go test ./...)
+
 step "flake smoke (close/reload lifecycle, -count=2)"
 go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds)$' .
 
