@@ -46,20 +46,18 @@ func (o GroundTruthOptions) coreConfig() core.GroundTruthConfig {
 // the keywords and the relevant documents, search for X(q), and assemble
 // the query graph. A done ctx returns ctx.Err() before any work.
 func (c *Client) GroundTruth(ctx context.Context, q Query, opts GroundTruthOptions) (*GroundTruth, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
-	return c.cur().sys.BuildGroundTruth(ctx, q, opts.coreConfig())
+	return withSystem(ctx, c, func(sys *core.System) (*GroundTruth, error) {
+		return sys.BuildGroundTruth(ctx, q, opts.coreConfig())
+	})
 }
 
 // GroundTruths fans the per-query pipeline out over a bounded worker pool
 // and returns the artifacts in query order. Cancelling ctx stops
 // scheduling and returns ctx.Err().
 func (c *Client) GroundTruths(ctx context.Context, qs []Query, opts GroundTruthOptions) ([]*GroundTruth, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
-	return c.cur().sys.BuildAllGroundTruths(ctx, qs, opts.coreConfig())
+	return withSystem(ctx, c, func(sys *core.System) ([]*GroundTruth, error) {
+		return sys.BuildAllGroundTruths(ctx, qs, opts.coreConfig())
+	})
 }
 
 // AnalyzeOptions controls Analyze. The zero value reproduces the paper's
@@ -85,24 +83,23 @@ type AnalyzeOptions struct {
 // benchmark queries; cancelling ctx stops the per-query fan-out and
 // returns ctx.Err().
 func (c *Client) Analyze(ctx context.Context, opts AnalyzeOptions) (*Analysis, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
-	if len(c.queries) == 0 {
-		return nil, ErrNoBenchmark
-	}
-	gtOpts := opts.GroundTruth
-	if gtOpts.Workers <= 0 {
-		gtOpts.Workers = opts.Workers
-	}
-	gts, err := c.GroundTruths(ctx, c.queries, gtOpts)
-	if err != nil {
-		return nil, err
-	}
-	return c.cur().sys.Analyze(ctx, gts, core.AnalysisConfig{
-		MaxCycleLen: opts.MaxCycleLen,
-		Fig9Bins:    opts.Fig9Bins,
-		Workers:     opts.Workers,
+	return withSystem(ctx, c, func(sys *core.System) (*Analysis, error) {
+		if len(c.queries) == 0 {
+			return nil, ErrNoBenchmark
+		}
+		gtOpts := opts.GroundTruth
+		if gtOpts.Workers <= 0 {
+			gtOpts.Workers = opts.Workers
+		}
+		gts, err := sys.BuildAllGroundTruths(ctx, c.queries, gtOpts.coreConfig())
+		if err != nil {
+			return nil, err
+		}
+		return sys.Analyze(ctx, gts, core.AnalysisConfig{
+			MaxCycleLen: opts.MaxCycleLen,
+			Fig9Bins:    opts.Fig9Bins,
+			Workers:     opts.Workers,
+		})
 	})
 }
 
@@ -121,15 +118,14 @@ type AblationOptions struct {
 // off, frequency ranking and redirect aliases. Returns ErrNoBenchmark when
 // the client has no benchmark queries.
 func (c *Client) CompareExpanders(ctx context.Context, opts AblationOptions) ([]AblationRow, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
-	if len(c.queries) == 0 {
-		return nil, ErrNoBenchmark
-	}
-	return c.cur().sys.CompareExpanders(ctx, c.queries, core.AblationConfig{
-		MaxFeatures: opts.MaxFeatures,
-		Workers:     opts.Workers,
+	return withSystem(ctx, c, func(sys *core.System) ([]AblationRow, error) {
+		if len(c.queries) == 0 {
+			return nil, ErrNoBenchmark
+		}
+		return sys.CompareExpanders(ctx, c.queries, core.AblationConfig{
+			MaxFeatures: opts.MaxFeatures,
+			Workers:     opts.Workers,
+		})
 	})
 }
 
@@ -156,13 +152,16 @@ type Cycle struct {
 // bound) and measures each one. A done ctx returns ctx.Err() before any
 // work.
 func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth, maxLen int) ([]Cycle, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
+	return withSystem(ctx, c, func(sys *core.System) ([]Cycle, error) {
+		return mineCycles(sys, gt, maxLen)
+	})
+}
+
+func mineCycles(sys *core.System, gt *GroundTruth, maxLen int) ([]Cycle, error) {
 	if maxLen <= 0 {
 		maxLen = 5
 	}
-	snap := c.cur().sys.Snapshot
+	snap := sys.Snapshot
 	sub := gt.Graph.Sub
 	var seeds []NodeID
 	for _, qa := range gt.QueryArticles {
@@ -200,10 +199,16 @@ func (c *Client) MineCycles(ctx context.Context, gt *GroundTruth, maxLen int) ([
 }
 
 // WriteQueryGraphDOT renders a ground truth's query graph G(q) in Graphviz
-// DOT format with article titles as labels.
+// DOT format with article titles as labels. A closed client returns
+// ErrClosed.
 func (c *Client) WriteQueryGraphDOT(w io.Writer, gt *GroundTruth, name string) error {
+	g, err := c.acquire()
+	if err != nil {
+		return err
+	}
+	defer g.release()
 	sub := gt.Graph.Sub
-	snap := c.cur().sys.Snapshot
+	snap := g.set.Systems()[0].Snapshot
 	label := func(n NodeID) string { return snap.Name(sub.ToParent[n]) }
 	return sub.Graph.WriteDOT(w, name, label)
 }

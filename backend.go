@@ -30,9 +30,11 @@ import (
 // All methods are safe for concurrent use. Every query-path method takes a
 // context and honors the package's context contract (a done ctx returns
 // ctx.Err() without running a pipeline); after Close they return ErrClosed
-// instead. The non-erroring accessors stay harmless after Close: a closed
-// Client keeps answering from its in-memory state, a closed Pool returns
-// zero values.
+// instead, and the non-erroring accessors return zero values (a Client's
+// Queries excepted: it keeps the benchmark it was opened with). *Client
+// and *Pool share one in-process implementation of this contract; they
+// differ in what they serve — one snapshot as a one-shard set, or a
+// manifest's shards — and in their extras.
 //
 //qlint:serving
 type Backend interface {

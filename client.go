@@ -5,16 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/querygraph/querygraph/internal/core"
-	"github.com/querygraph/querygraph/internal/live"
-	"github.com/querygraph/querygraph/internal/search"
 	"github.com/querygraph/querygraph/internal/shard"
 	"github.com/querygraph/querygraph/internal/store"
-	"github.com/querygraph/querygraph/internal/trace"
 )
 
 // Client is the single-snapshot serving handle of the reproduction: one
@@ -23,77 +17,35 @@ import (
 // query-path method takes a context.Context; a context that is already
 // done returns ctx.Err() without running any pipeline, and cancelling
 // mid-call stops batch scheduling and abandons cache waits as documented
-// per method. After Close, query-path methods return ErrClosed.
+// per method.
 //
-// A Client is also a live index: Ingest appends documents to an in-memory
-// delta segment searched alongside the base snapshot, and Compact folds
-// the segment into a fresh base generation. Readers pin one immutable
-// state per request and writers swap whole states, so queries never
-// observe a half-applied ingest or compaction.
+// A Client serves its snapshot as a one-shard set through the same
+// runtime as a Pool: the same generations, drain, ingest, compaction and
+// Close. Ingest appends documents to an in-memory delta segment searched
+// alongside the base snapshot, and Compact folds the segment into a
+// fresh generation built in memory. Readers pin one immutable generation
+// per request and writers swap whole states, so queries never observe a
+// half-applied ingest or compaction. After Close, query paths return
+// ErrClosed and accessors return zero values, except Queries, which keeps
+// returning the benchmark the Client was opened with.
 //
 //qlint:serving
 //qlint:observed
 type Client struct {
-	// st is the serving state — base system, delta segment, compaction
-	// generation. The query path loads it lock-free; every store happens
-	// under mu (enforced by the atomicguard analyzer).
-	//
-	//qlint:guarded-by mu
-	st atomic.Pointer[clientState]
-
-	// mu serializes the write path (Ingest, Compact); readers never take it.
-	mu sync.Mutex
-
+	localRuntime
 	queries []Query
-	obs     observers
-	closed  atomic.Bool
-
-	// Live-index configuration and lifecycle: the delta capacity and
-	// auto-compaction threshold resolved from the options, the system
-	// options replayed when a compaction rebuilds the serving system, the
-	// completed-compaction count, the single-flight guard of the
-	// background compactor and the wait group Close blocks on.
-	deltaCap    int
-	autoCompact int
-	sysOpts     []core.SystemOption
-	compactions atomic.Uint64
-	compacting  atomic.Bool
-	bg          sync.WaitGroup
 }
-
-// clientState is one immutable serving state: the base system, the live
-// delta segment above it (nil = empty), the compaction generation (starts
-// at 1, advanced by each non-empty Compact) and the scorer's view of
-// base+delta.
-type clientState struct {
-	sys   *core.System
-	delta *live.Delta
-	gen   uint64
-	view  sourceView
-}
-
-func newClientState(sys *core.System, delta *live.Delta, gen uint64) *clientState {
-	base := []search.Source{{Engine: sys.Engine}}
-	return &clientState{
-		sys: sys, delta: delta, gen: gen,
-		view: newSourceView(sys, base, sys.Engine.Index().TotalTokens(), delta),
-	}
-}
-
-// cur returns the current serving state; it is never nil, even after
-// Close (the in-memory accessors keep answering from it).
-func (c *Client) cur() *clientState { return c.st.Load() }
 
 // newClient assembles a serving client around a loaded system.
 func newClient(sys *core.System, queries []Query, cfg clientConfig) *Client {
-	c := &Client{
-		queries:     queries,
-		obs:         cfg.obs,
-		deltaCap:    cfg.deltaCapacity(),
-		autoCompact: cfg.autoCompact,
-		sysOpts:     cfg.sys,
-	}
-	c.st.Store(newClientState(sys, nil, 1)) //qlint:ignore atomicguard constructor: c has not escaped, no concurrent writer exists yet
+	c := &Client{queries: queries}
+	c.start(shard.Single(sys, queries), cfg, func(archives []*store.Archive) (*shard.Set, error) {
+		sys, qs, err := core.SystemFromArchive(archives[0], cfg.sys...)
+		if err != nil {
+			return nil, err
+		}
+		return shard.Single(sys, qs), nil
+	})
 	return c
 }
 
@@ -143,53 +95,14 @@ func Build(world *World, opts ...Option) (*Client, error) {
 	return newClient(sys, core.QueriesFromWorld(world), cfg), nil
 }
 
-// Close retires the client: it is idempotent (a second Close returns nil),
-// and every query-path method called after it returns ErrClosed. Close
-// releases the expansion cache's entries; the decoded serving state itself
-// is garbage-collected once the last reference drops, so requests already
-// in flight finish safely on it. The cheap in-memory accessors (Queries,
-// Stats, CacheStats, Link, Title) keep answering after Close.
-func (c *Client) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	// An in-flight background compaction re-checks closed under mu and
-	// bails; wait it out so Close leaves no goroutine behind.
-	c.bg.Wait()
-	c.cur().sys.PurgeExpandCache()
-	return nil
-}
-
-// ready gates every query path: a closed client fails with ErrClosed, a
-// dead context with ctx.Err(), before any pipeline work.
-func (c *Client) ready(ctx context.Context) error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	return ctx.Err()
-}
-
-// shardCount is the Shards coordinate of this client's observations: a
-// Client is a one-shard runtime, reported as 0 once closed so both
-// runtimes expose the same closed-backend signal to observers.
-func (c *Client) shardCount() int {
-	if c.closed.Load() {
-		return 0
-	}
-	return 1
-}
-
 // Save writes the client's complete serving state plus its query benchmark
 // as a versioned, checksummed binary snapshot; Open on the written bytes
 // serves bit-identical results. A non-empty delta segment is folded into
 // the written snapshot (the snapshot a cold rebuild over base plus delta
 // would produce), so ingested documents survive a save/load cycle.
+// Saving a closed client returns ErrClosed.
 func (c *Client) Save(w io.Writer) error {
-	st := c.cur()
-	if st.delta.NumDocs() == 0 {
-		return st.sys.Save(w, c.queries)
-	}
-	arch, err := mergedArchive(st, c.queries)
+	arch, err := c.archive()
 	if err != nil {
 		return err
 	}
@@ -202,24 +115,41 @@ func (c *Client) Save(w io.Writer) error {
 // are replicated into every shard, the corpus and index are partitioned
 // by document id, and the global collection statistics are recorded in
 // each shard so OpenPool on the manifest serves bit-identical results to
-// this client. The manifest is written last via an atomic rename, so a
+// this client. Like Save, the written generation includes the delta
+// documents. The manifest is written last via an atomic rename, so a
 // concurrent Pool.Reload sees either the old generation or the new one.
 func (c *Client) SaveShards(dir string, shards int) error {
 	if shards < 1 {
 		return fmt.Errorf("%w: shard count %d must be >= 1", ErrInvalidOptions, shards)
 	}
-	st := c.cur()
-	arch := st.sys.Archive(c.queries)
-	if st.delta.NumDocs() > 0 {
-		// Like Save: the written generation includes the delta documents.
-		var err error
-		arch, err = mergedArchive(st, c.queries)
-		if err != nil {
-			return err
-		}
+	arch, err := c.archive()
+	if err != nil {
+		return err
 	}
-	_, err := shard.WriteShards(dir, arch, shards)
+	_, err = shard.WriteShards(dir, arch, shards)
 	return err
+}
+
+// archive is the current generation as one complete snapshot: the base
+// system's, or with a pending delta the one-shard fold of base plus
+// delta, stripped of its partition identity.
+func (c *Client) archive() (*store.Archive, error) {
+	g, err := c.acquire()
+	if err != nil {
+		return nil, err
+	}
+	defer g.release()
+	delta := g.delta()
+	if delta.NumDocs() == 0 {
+		return g.set.Systems()[0].Archive(g.set.Queries()), nil
+	}
+	archives, err := shard.Fold(g.set, delta)
+	if err != nil {
+		return nil, err
+	}
+	arch := archives[0]
+	arch.Shard = nil
+	return arch, nil
 }
 
 // Queries returns the loaded query benchmark (empty when the snapshot
@@ -230,226 +160,31 @@ func (c *Client) Queries() []Query {
 	return out
 }
 
-// Stats summarizes the serving state: knowledge-base shape, corpus size
-// (the base generation; delta documents are reported separately),
-// benchmark size, the live delta segment and the expansion cache counters.
-type Stats struct {
-	Articles   int `json:"articles"`
-	Redirects  int `json:"redirects"`
-	Categories int `json:"categories"`
-	Links      int `json:"links"`
-
-	Documents        int `json:"documents"`
-	BenchmarkQueries int `json:"benchmark_queries"`
-
-	Delta DeltaStats `json:"delta"`
-
-	Cache CacheStats `json:"cache"`
-}
-
-// Stats reports the client's serving-state summary.
-func (c *Client) Stats() Stats {
-	cur := c.cur()
-	st := cur.sys.Snapshot.Stats()
-	return Stats{
-		Articles:         st.Articles,
-		Redirects:        st.Redirects,
-		Categories:       st.Categories,
-		Links:            st.Links,
-		Documents:        cur.sys.Collection.Len(),
-		BenchmarkQueries: len(c.queries),
-		Delta: DeltaStats{
-			Documents:    cur.delta.NumDocs(),
-			PendingBytes: cur.delta.Bytes(),
-			Generation:   cur.gen,
-			Compactions:  c.compactions.Load(),
-		},
-		Cache: cur.sys.ExpandCacheStats(),
-	}
-}
-
-// CacheStats reports the expansion cache's hit/miss/single-flight counters
-// and occupancy (all zero when the cache is disabled).
-func (c *Client) CacheStats() CacheStats { return c.cur().sys.ExpandCacheStats() }
-
-// Search parses the INDRI-style query text (bare keywords, #combine,
-// #weight, #1 exact phrases) and returns the top k documents by descending
-// Dirichlet-smoothed query likelihood (ties broken by ascending doc id;
-// k <= 0 ranks every candidate; no match returns an empty non-nil slice).
-// A done ctx returns ctx.Err() without searching.
-func (c *Client) Search(ctx context.Context, query string, k int) ([]Result, error) {
-	start := time.Now()
-	rs, err := c.searchText(ctx, query, k, nil)
-	c.obs.search(start, k, c.shardCount(), false, err)
-	return rs, err
-}
-
-// SearchInto is Search reusing dst's storage for the returned ranking
-// (dst may be nil). At steady state — the query's parsed plan already in
-// the engine's memoized cache, dst recycled by the caller — the whole
-// path allocates nothing: parse, postings planning, scoring scratch and
-// the top-k heap all come from pools. Neither query nor dst is retained
-// beyond the call.
-func (c *Client) SearchInto(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
-	start := time.Now()
-	rs, err := c.searchText(ctx, query, k, dst)
-	c.obs.search(start, k, c.shardCount(), false, err)
-	return rs, err
-}
-
-func (c *Client) searchText(ctx context.Context, query string, k int, dst []Result) ([]Result, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
-	return c.cur().view.searchText(ctx, query, k, dst)
-}
-
-// SearchAll evaluates a batch of query texts on a bounded worker pool and
-// returns the per-query rankings in input order. All queries are parsed up
-// front (the first invalid query aborts the batch with ErrInvalidQuery);
-// cancelling ctx stops scheduling the remaining queries and returns
-// ctx.Err().
-func (c *Client) SearchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
-	start := time.Now()
-	rss, err := c.searchAll(ctx, queries, k, opts)
-	c.obs.batch(start, BatchSearch, len(queries), k, c.shardCount(), err)
-	return rss, err
-}
-
-func (c *Client) searchAll(ctx context.Context, queries []string, k int, opts BatchOptions) ([][]Result, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
-	return c.cur().view.searchAll(ctx, queries, k, opts)
-}
-
-// Expand runs the online cycle-based expansion pipeline of the paper's
-// conclusions for one keyword query: entity-link the keywords, induce the
-// Wikipedia neighborhood, mine cycles, keep the structurally promising
-// ones (dense, category ratio around 30% by default) and rank the articles
-// they introduce. Options override the paper-tuned defaults; invalid
-// values return an error wrapping ErrInvalidOptions.
-//
-// Results are memoized in a sharded single-flight LRU cache shared by the
-// whole Client; the returned Expansion may be shared with other callers
-// and must be treated as read-only. A done ctx returns ctx.Err() without
-// touching pipeline or cache; a ctx that dies while another caller's
-// identical call is in flight abandons the wait (that caller still
-// completes and populates the cache).
-func (c *Client) Expand(ctx context.Context, keywords string, opts ...ExpandOption) (*Expansion, error) {
-	start := time.Now()
-	exp, outcome, err := c.expand(ctx, keywords, opts)
-	c.obs.expand(start, outcome, exp, c.shardCount(), err)
-	return exp, err
-}
-
-func (c *Client) expand(ctx context.Context, keywords string, opts []ExpandOption) (*Expansion, CacheOutcome, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, CacheBypass, err
-	}
-	eopts, err := normalizeExpandOptions(opts)
-	if err != nil {
-		return nil, CacheBypass, err
-	}
-	tr := trace.FromContext(ctx)
-	start := time.Now()
-	exp, outcome, err := c.cur().sys.ExpandOutcome(ctx, keywords, eopts)
-	if tr != nil {
-		// The cache outcome of the expand lookup rides in the span detail.
-		tr.Add("expand", start, -1, 0, false, ErrorClass(err), outcome.String())
-	}
-	return exp, outcome, err
-}
-
-// ExpandAll runs Expand for every keyword query on a bounded worker pool
-// and returns the expansions in input order. Repeated keywords are served
-// from the expansion cache and concurrent duplicates are single-flighted.
-// Cancelling ctx stops scheduling and returns ctx.Err().
-func (c *Client) ExpandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts ...ExpandOption) ([]*Expansion, error) {
-	start := time.Now()
-	exps, err := c.expandAll(ctx, keywords, bopts, opts)
-	c.obs.batch(start, BatchExpand, len(keywords), 0, c.shardCount(), err)
-	return exps, err
-}
-
-func (c *Client) expandAll(ctx context.Context, keywords []string, bopts BatchOptions, opts []ExpandOption) ([]*Expansion, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
-	eopts, err := normalizeExpandOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.cur().sys.ExpandAll(ctx, keywords, eopts, bopts)
-}
-
-// SearchExpansion evaluates an expansion end to end: it writes the
-// expanded title query (exact phrases for the query entities and every
-// feature) and returns the top k documents. ok reports whether the
-// expansion had anything to search for (entities, features or keywords);
-// it stays true when the search itself fails, so err alone signals
-// failure.
-func (c *Client) SearchExpansion(ctx context.Context, exp *Expansion, k int) (results []Result, ok bool, err error) {
-	start := time.Now()
-	rs, ok, err := c.searchExpansion(ctx, exp, k)
-	c.obs.search(start, k, c.shardCount(), true, err)
-	return rs, ok, err
-}
-
-func (c *Client) searchExpansion(ctx context.Context, exp *Expansion, k int) ([]Result, bool, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, false, err
-	}
-	return c.cur().view.searchExpansion(exp, k)
-}
-
-// SearchExpansions evaluates a batch of expansions on a bounded worker
-// pool, returning the per-expansion rankings in input order. Expansions
-// with nothing to search for yield a nil ranking. Cancelling ctx stops
-// scheduling and returns ctx.Err().
-func (c *Client) SearchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
-	start := time.Now()
-	rss, err := c.searchExpansions(ctx, exps, k, opts)
-	c.obs.batch(start, BatchSearchExpansions, len(exps), k, c.shardCount(), err)
-	return rss, err
-}
-
-func (c *Client) searchExpansions(ctx context.Context, exps []*Expansion, k int, opts BatchOptions) ([][]Result, error) {
-	if err := c.ready(ctx); err != nil {
-		return nil, err
-	}
-	return c.cur().view.searchExpansions(ctx, exps, k, opts)
-}
-
-// Entity is one knowledge-base article a query mentions.
-type Entity struct {
-	ID    NodeID `json:"id"`
-	Title string `json:"title"`
-}
-
-// Link computes L(q.k): the main articles the keywords mention, by
-// largest-substring entity linking with redirect synonyms.
-func (c *Client) Link(keywords string) []Entity {
-	sys := c.cur().sys
-	ids := sys.LinkKeywords(keywords)
-	out := make([]Entity, len(ids))
-	for i, id := range ids {
-		out[i] = Entity{ID: id, Title: sys.Snapshot.Name(id)}
-	}
-	return out
-}
-
-// Title returns the display title of a knowledge-base node.
-func (c *Client) Title(id NodeID) string { return c.cur().sys.Snapshot.Name(id) }
-
 // Evaluate writes the paper's title query for the given articles (exact
 // phrases; the raw keywords back the query off when no article has a
 // usable title) and scores the retrieval against the relevant documents:
 // it returns the objective O (precision averaged over the paper's rank
 // cutoffs) and the ranked top-15 document ids.
 func (c *Client) Evaluate(ctx context.Context, keywords string, articles []NodeID, relevant []int32) (float64, []int32, error) {
-	if err := c.ready(ctx); err != nil {
-		return 0, nil, err
+	var ranked []int32
+	o, err := withSystem(ctx, c, func(sys *core.System) (o float64, err error) {
+		o, ranked, err = sys.EvaluateArticles(keywords, articles, newRelevance(relevant))
+		return o, err
+	})
+	return o, ranked, err
+}
+
+// withSystem runs one research call on the system of the current
+// generation, pinned for the call like every other request.
+func withSystem[T any](ctx context.Context, c *Client, fn func(sys *core.System) (T, error)) (T, error) {
+	var zero T
+	if err := ctx.Err(); err != nil {
+		return zero, err
 	}
-	return c.cur().sys.EvaluateArticles(keywords, articles, newRelevance(relevant))
+	g, err := c.acquire()
+	if err != nil {
+		return zero, err
+	}
+	defer g.release()
+	return fn(g.set.Systems()[0])
 }

@@ -279,8 +279,8 @@ func reloadLoop(pool *querygraph.Pool, hup <-chan os.Signal) {
 
 // drainAndClose is the shutdown sequence: drain in-flight HTTP requests
 // (srv.Shutdown), then retire the backend so the generation/refcount
-// state is released rather than abandoned — Pool.Close waits for any
-// stragglers to release their generation, Client.Close drops the
+// state is released rather than abandoned — Close waits for any
+// stragglers to release their generation, then drops it with its
 // expansion cache. Backend.Close runs even when the drain times out, so
 // a slow shutdown still retires the serving state.
 func drainAndClose(ctx context.Context, srv *http.Server, be querygraph.Backend) error {

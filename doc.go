@@ -30,7 +30,9 @@
 //	client, err := querygraph.Build(world)        // index a generated world: build once
 //
 // Snapshots are written by Client.Save (or cmd/qgen with -out world.qgs)
-// and decoded, not rebuilt, at Open time. Worlds come from GenerateWorld,
+// and decoded, not rebuilt, at Open time. A Client serves its snapshot as
+// a one-shard set through the same runtime as a Pool — generations,
+// ingest, compaction and Close are one implementation. Worlds come from GenerateWorld,
 // which deterministically produces a Wikipedia-shaped knowledge base, an
 // ImageCLEF-shaped collection and a query benchmark from one seed. Beyond
 // the Backend surface, a Client carries the research pipeline

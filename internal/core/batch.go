@@ -40,11 +40,3 @@ func (s *System) ExpandAll(ctx context.Context, keywords []string, eopts Expande
 func (s *System) ExpandCacheStats() CacheStats {
 	return s.expandCache.stats()
 }
-
-// PurgeExpandCache drops every cached expansion, releasing the entries to
-// the collector; the counters keep their lifetime totals. The serving
-// lifecycle calls this from Close so a retired client does not pin the
-// cache's memory.
-func (s *System) PurgeExpandCache() {
-	s.expandCache.purge()
-}

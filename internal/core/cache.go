@@ -220,22 +220,6 @@ func (c *expandCache) getOrDo(ctx context.Context, k expandKey, fn func() (*Expa
 	return fl.exp, CacheMiss, fl.err
 }
 
-// purge drops every cached entry (counters keep their lifetime totals).
-// In-flight single-flight runs are untouched: their leaders may publish
-// one fresh entry each after the purge, which is harmless.
-func (c *expandCache) purge() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.items = make(map[expandKey]*lruEntry)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-	}
-}
-
 // insert adds or refreshes an entry; the caller holds s.mu.
 func (s *cacheShard) insert(k expandKey, exp *Expansion) {
 	if e, ok := s.items[k]; ok {

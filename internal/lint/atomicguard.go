@@ -6,8 +6,8 @@ import (
 )
 
 // Atomicguard enforces the write-side locking discipline of
-// atomic-pointer generation swaps (pool.go: "mu serializes Reload and
-// Close; the serving path never takes it"). Loads are lock-free by
+// atomic-pointer generation swaps (runtime.go: "mu serializes the write
+// path ...; the serving path never takes it"). Loads are lock-free by
 // design, but every Store/Swap/CompareAndSwap on a field annotated
 //
 //	//qlint:guarded-by mu

@@ -11,12 +11,13 @@ import (
 // the hook call must be an unconditional top-level statement of the
 // method body so early-error returns are observed too.
 //
-// The enforced shape is the wrapper pattern both runtimes use:
+// The enforced shape is the wrapper pattern of the local runtime that
+// Client and Pool share (and of Remote):
 //
-//	func (c *Client) Search(ctx ..., ...) (..., error) {
+//	func (r *localRuntime) Search(ctx ..., ...) (..., error) {
 //		start := time.Now()
-//		rs, err := c.searchText(ctx, ...)   // all early returns inside
-//		c.obs.search(start, ...)            // the one hook, top level
+//		rs, shards, err := r.searchText(ctx, ...)   // all early returns inside
+//		r.cfg.obs.search(start, k, shards, ...)     // the one hook, top level
 //		return rs, err
 //	}
 //
@@ -99,7 +100,7 @@ func checkHooks(pass *Pass, fn *ast.FuncDecl) {
 }
 
 // isHookCall matches the observers helper calls: obs.search(...),
-// c.obs.search(...), p.obs().batch(...) — a selector call of a hook
+// r.cfg.obs.search(...), p.obs().batch(...) — a selector call of a hook
 // name whose receiver chain mentions an obs field or obs() method.
 func isHookCall(call *ast.CallExpr) bool {
 	x, ok := selectorCall(call, hookNames...)

@@ -32,7 +32,7 @@ var Refpair = &Analyzer{
 
 // refAcquireNames and refReleaseNames are the method-name conventions
 // the analyzer binds to. retire() counts as a release: it drops the
-// owner reference by definition (pool.go).
+// owner reference by definition (runtime.go).
 var (
 	refAcquireNames = []string{"acquire", "Acquire"}
 	refReleaseNames = []string{"release", "Release", "retire", "Retire"}

@@ -69,8 +69,15 @@ func Fold(s *Set, delta *live.Delta) ([]*store.Archive, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: fold shard %d: %w", sh, err)
 		}
-		docGlobal := make([]int32, 0, len(s.sources[sh].DocMap)+len(newGlobals[sh]))
-		docGlobal = append(docGlobal, s.sources[sh].DocMap...)
+		docGlobal := make([]int32, 0, len(baseDocs)+len(newGlobals[sh]))
+		if dm := s.sources[sh].DocMap; dm != nil {
+			docGlobal = append(docGlobal, dm...)
+		} else {
+			// A one-shard set: local ids are global ids.
+			for d := range baseDocs {
+				docGlobal = append(docGlobal, int32(d))
+			}
+		}
 		docGlobal = append(docGlobal, newGlobals[sh]...)
 		arch := sys.Archive(s.queries)
 		arch.Collection = coll

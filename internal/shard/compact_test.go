@@ -9,6 +9,7 @@ import (
 	"github.com/querygraph/querygraph/internal/core"
 	"github.com/querygraph/querygraph/internal/corpus"
 	"github.com/querygraph/querygraph/internal/live"
+	"github.com/querygraph/querygraph/internal/store"
 	"github.com/querygraph/querygraph/internal/synth"
 )
 
@@ -85,12 +86,25 @@ func foldFixture(t *testing.T, seed int64, n, cut int) (*core.System, []core.Que
 }
 
 // TestFoldMatchesPartition pins the compaction contract structurally:
-// folding the delta into the loaded base generation produces, shard for
-// shard, the archives Partition produces from the monolithic system that
-// indexed every document from scratch.
+// folding the delta into the base generation produces, shard for shard,
+// the archives Partition produces from the monolithic system that indexed
+// every document from scratch. The base is a loaded 1- or 3-shard set, or
+// a one-shard set around a single system; a one-shard set — however it
+// is built, from Fold output included — scores without a doc-id map.
 func TestFoldMatchesPartition(t *testing.T) {
-	for _, n := range []int{1, 3} {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		single bool
+	}{{"load-1", 1, false}, {"single", 1, true}, {"load-3", 3, false}} {
+		n := tc.n
 		full, queries, set, delta := foldFixture(t, 29, n, 40)
+		if tc.single {
+			set = Single(set.Systems()[0], set.Queries())
+		}
+		if n == 1 && set.Sources()[0].DocMap != nil {
+			t.Fatalf("%s: one-shard set carries a doc-id map", tc.name)
+		}
 		folded, err := Fold(set, delta)
 		if err != nil {
 			t.Fatal(err)
@@ -100,37 +114,76 @@ func TestFoldMatchesPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(folded) != len(want) {
-			t.Fatalf("n=%d: %d folded archives, want %d", n, len(folded), len(want))
+			t.Fatalf("%s: %d folded archives, want %d", tc.name, len(folded), len(want))
+		}
+		if n == 1 {
+			checkOneShardFold(t, tc.name, folded, set.GlobalDocs()+delta.NumDocs())
 		}
 		for s := range want {
 			w, g := want[s], folded[s]
 			if !reflect.DeepEqual(w.Shard, g.Shard) {
-				t.Fatalf("n=%d shard %d: shard info diverged\nwant %+v\ngot  %+v", n, s, w.Shard, g.Shard)
+				t.Fatalf("%s shard %d: shard info diverged\nwant %+v\ngot  %+v", tc.name, s, w.Shard, g.Shard)
 			}
 			if w.Mu != g.Mu || w.IncludeKeywordTerms != g.IncludeKeywordTerms ||
 				w.RemoveStopwords != g.RemoveStopwords || w.Stem != g.Stem {
-				t.Fatalf("n=%d shard %d: engine configuration diverged", n, s)
+				t.Fatalf("%s shard %d: engine configuration diverged", tc.name, s)
 			}
 			if !reflect.DeepEqual(w.Collection.Docs(), g.Collection.Docs()) {
-				t.Fatalf("n=%d shard %d: collections diverged", n, s)
+				t.Fatalf("%s shard %d: collections diverged", tc.name, s)
 			}
 			if !reflect.DeepEqual(w.Queries, g.Queries) {
-				t.Fatalf("n=%d shard %d: benchmark diverged", n, s)
+				t.Fatalf("%s shard %d: benchmark diverged", tc.name, s)
 			}
 			wantTerms := w.Index.Terms()
 			if !reflect.DeepEqual(wantTerms, g.Index.Terms()) {
-				t.Fatalf("n=%d shard %d: vocabulary diverged", n, s)
+				t.Fatalf("%s shard %d: vocabulary diverged", tc.name, s)
 			}
 			for _, term := range wantTerms {
 				wp, wcf := w.Index.Lookup(term)
 				gp, gcf := g.Index.Lookup(term)
 				if wcf != gcf || !reflect.DeepEqual(wp, gp) {
-					t.Fatalf("n=%d shard %d term %q: postings diverged", n, s, term)
+					t.Fatalf("%s shard %d term %q: postings diverged", tc.name, s, term)
 				}
 			}
 			if w.Index.TotalTokens() != g.Index.TotalTokens() || w.Index.NumDocs() != g.Index.NumDocs() {
-				t.Fatalf("n=%d shard %d: index shape diverged", n, s)
+				t.Fatalf("%s shard %d: index shape diverged", tc.name, s)
 			}
+		}
+	}
+}
+
+// checkOneShardFold: a one-shard fold maps local to global ids as the
+// identity over base+delta, and the set built back from it — in memory
+// around its system, or written and loaded — scores without a map.
+func checkOneShardFold(t *testing.T, name string, folded []*store.Archive, docs int) {
+	t.Helper()
+	dg := folded[0].Shard.DocGlobal
+	if len(dg) != docs {
+		t.Fatalf("%s: folded doc map covers %d documents, want %d", name, len(dg), docs)
+	}
+	for i, g := range dg {
+		if int(g) != i {
+			t.Fatalf("%s: folded doc map sends local %d to global %d", name, i, g)
+		}
+	}
+	sys, qs, err := core.SystemFromArchive(folded[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := filepath.Join(t.TempDir(), ManifestFileName)
+	if _, err := WriteArchives(manifestPath, folded); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for how, set := range map[string]*Set{"single": Single(sys, qs), "load": loaded} {
+		if set.Sources()[0].DocMap != nil {
+			t.Fatalf("%s: one-shard set from Fold output (%s) carries a doc-id map", name, how)
+		}
+		if set.GlobalDocs() != docs {
+			t.Fatalf("%s: one-shard set from Fold output (%s) holds %d documents, want %d", name, how, set.GlobalDocs(), docs)
 		}
 	}
 }

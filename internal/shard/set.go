@@ -13,8 +13,9 @@ import (
 
 // Set is one loaded generation of a sharded snapshot: every shard wrapped
 // in its own serving System, plus the cross-shard identity needed for
-// scatter-gather. A Set is immutable after Load and safe for concurrent
-// use; hot reload (querygraph.Pool) swaps whole Sets.
+// scatter-gather. A Set is immutable after Load (or Single, for one
+// system) and safe for concurrent use; the serving runtimes swap whole
+// Sets on reload and compaction.
 //
 // Division of labor: retrieval scores every shard as one source of
 // search.SearchSourcesLeaves, the single in-process multi-index scorer;
@@ -109,7 +110,13 @@ func Load(manifestPath string, opts ...core.SystemOption) (*Set, error) {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		set.systems[s] = sys
-		set.sources[s] = search.Source{Engine: sys.Engine, DocMap: sh.DocGlobal}
+		set.sources[s] = search.Source{Engine: sys.Engine}
+		if n > 1 {
+			// The only shard's map is the identity — the store keeps a map
+			// ascending and the coverage check below makes it complete — so
+			// without it the scorer takes its single-index path.
+			set.sources[s].DocMap = sh.DocGlobal
+		}
 		if s == 0 {
 			set.queries = queries
 		}
@@ -118,6 +125,20 @@ func Load(manifestPath string, opts ...core.SystemOption) (*Set, error) {
 		return nil, fmt.Errorf("shards cover %d of %d global documents", covered, set.globalDocs)
 	}
 	return set, nil
+}
+
+// Single wraps one complete serving system as a one-shard set — the
+// form a single snapshot serves in. Its source carries no doc-id map:
+// local ids are global ids.
+func Single(sys *core.System, queries []core.Query) *Set {
+	ix := sys.Engine.Index()
+	return &Set{
+		systems:      []*core.System{sys},
+		queries:      queries,
+		sources:      []search.Source{{Engine: sys.Engine}},
+		globalDocs:   ix.NumDocs(),
+		globalTokens: ix.TotalTokens(),
+	}
 }
 
 func readArchiveFile(path string) (*store.Archive, error) {
@@ -151,7 +172,8 @@ func (s *Set) Parse(query string) (search.Node, error) {
 }
 
 // Sources returns the shards as scorer sources (index = shard id), each
-// translating its local doc ids to global ones. Treat as read-only.
+// translating its local doc ids to global ones; a one-shard set's source
+// has a nil DocMap, the identity. Treat as read-only.
 func (s *Set) Sources() []search.Source { return s.sources }
 
 // Search evaluates one parsed query across all shards and returns the

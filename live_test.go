@@ -1,8 +1,11 @@
 package querygraph
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -308,5 +311,191 @@ func TestLiveRace(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Delta.Documents != 0 {
 		t.Fatalf("final compaction left %d delta documents", st.Delta.Documents)
+	}
+}
+
+// TestLiveClientPersists: a Client holding a pending delta persists the
+// base+delta corpus both ways — Save → Open, and SaveShards → OpenPool —
+// and each reopened backend serves Search and expanded retrieval
+// bit-identical to the monolithic build, over the same document count.
+func TestLiveClientPersists(t *testing.T) {
+	ctx := context.Background()
+	ref, base, tail := liveSplit(t, 5, 0.55)
+	qs := ref.Queries()
+	keywords := make([]string, len(qs))
+	for i, q := range qs {
+		keywords[i] = q.Keywords
+	}
+	wantSearch := searchGolden(t, ref, qs)
+	wantExp, err := ref.ExpandAll(ctx, keywords, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantExpSearch, err := ref.SearchExpansions(ctx, wantExp, MaxRank, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	client, err := Build(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Ingest(ctx, tail); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "live.qgs")
+	f, err := os.Create(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if err := client.SaveShards(filepath.Join(dir, "shards"), 3); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := OpenPool(filepath.Join(dir, "shards", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	for name, be := range map[string]Backend{"save-open": reopened, "saveshards-pool": pool} {
+		if got, want := be.Stats().Documents, ref.Stats().Documents; got != want {
+			t.Fatalf("%s: %d documents, want %d", name, got, want)
+		}
+		if st := be.Stats(); st.Delta.Documents != 0 {
+			t.Fatalf("%s: reopened with %d delta documents, want them in the base", name, st.Delta.Documents)
+		}
+		if got := searchGolden(t, be, qs); !reflect.DeepEqual(got, wantSearch) {
+			t.Fatalf("%s: search diverges from the monolithic build", name)
+		}
+		gotExp, err := be.ExpandAll(ctx, keywords, BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotExpSearch, err := be.SearchExpansions(ctx, gotExp, MaxRank, BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotExpSearch, wantExpSearch) {
+			t.Fatalf("%s: expanded retrieval diverges from the monolithic build", name)
+		}
+	}
+}
+
+// lateCompactObserver counts compactions observed after the backend's
+// Close has returned.
+type lateCompactObserver struct {
+	recordingObserver
+	closed atomic.Bool
+	late   atomic.Int64
+	early  atomic.Int64
+}
+
+func (o *lateCompactObserver) ObserveCompact(CompactObservation) {
+	if o.closed.Load() {
+		o.late.Add(1)
+	} else {
+		o.early.Add(1)
+	}
+}
+
+// TestCloseRacesIngest races Ingest against Close on both local runtimes
+// with auto-compaction after every document: once Close has returned, no
+// ingest may be acknowledged and no compaction may start or be observed.
+func TestCloseRacesIngest(t *testing.T) {
+	ctx := context.Background()
+	_, base, tail := liveSplit(t, 41, 0.6)
+	seed, err := Build(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	var snap bytes.Buffer
+	if err := seed.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 40
+	for _, kind := range []string{"client", "pool-2"} {
+		t.Run(kind, func(t *testing.T) {
+			observers := make([]*lateCompactObserver, rounds)
+			for round := range observers {
+				obs := &lateCompactObserver{}
+				observers[round] = obs
+				opts := []Option{WithAutoCompact(1), WithObserver(obs)}
+				var be Backend
+				if kind == "client" {
+					be, err = OpenReader(bytes.NewReader(snap.Bytes()), opts...)
+				} else {
+					dir := t.TempDir()
+					if err = seed.SaveShards(dir, 2); err == nil {
+						be, err = OpenPool(filepath.Join(dir, "manifest.json"), opts...)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				var wg sync.WaitGroup
+				var ackedAfterClose atomic.Int64
+				start := make(chan struct{})
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					<-start
+					afterClose := obs.closed.Load()
+					_, err := be.Ingest(ctx, tail)
+					switch {
+					case errors.Is(err, ErrClosed):
+					case err != nil:
+						t.Errorf("round %d: ingest: %v", round, err)
+					case afterClose:
+						ackedAfterClose.Add(1)
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					<-start
+					// Stagger Close from 0 to ~200µs behind the ingest,
+					// spinning rather than sleeping for a fine-grained delay.
+					for begin := time.Now(); time.Since(begin) < time.Duration(round)*5*time.Microsecond; {
+					}
+					if err := be.Close(); err != nil {
+						t.Errorf("round %d: close: %v", round, err)
+					}
+					obs.closed.Store(true)
+				}()
+				close(start)
+				wg.Wait()
+				if n := ackedAfterClose.Load(); n != 0 {
+					t.Errorf("round %d: %d ingests called after Close returned were acknowledged", round, n)
+				}
+			}
+			// Summed once every round is over, so a compaction that a
+			// closed backend still started has time to be observed.
+			var late, all int64
+			for _, obs := range observers {
+				late += obs.late.Load()
+				all += obs.late.Load() + obs.early.Load()
+			}
+			if late != 0 {
+				t.Errorf("%d compactions observed after Close returned (%d rounds)", late, rounds)
+			}
+			if all == 0 {
+				t.Errorf("no compaction was observed in %d rounds; the race never ran", rounds)
+			}
+		})
 	}
 }

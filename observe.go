@@ -37,7 +37,8 @@ type SearchObservation struct {
 	// K is the requested ranking depth (<= 0 ranks every candidate).
 	K int
 	// Shards is the serving generation's shard count (1 on a Client,
-	// 0 when the backend was already closed).
+	// 0 when the request failed before pinning a generation: a closed
+	// backend or a done context).
 	Shards int
 	// Expanded is true when the request evaluated an expansion
 	// (SearchExpansion) rather than raw query text (Search).

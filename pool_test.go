@@ -243,7 +243,7 @@ func TestPoolReloadUnderLoad(t *testing.T) {
 	}
 
 	const reloads = 8
-	retiredGens := make([]*poolGeneration, 0, reloads)
+	retiredGens := make([]*generation, 0, reloads)
 	manifests := [2]string{manifestB, manifestA}
 	for r := 0; r < reloads; r++ {
 		old := pool.gen.Load()

@@ -52,6 +52,6 @@ step "benchmark module (go vet + go test)"
 (cd benchmark && go vet ./... && go test ./...)
 
 step "flake smoke (close/reload lifecycle, -count=2)"
-go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds)$' .
+go test -count=2 -shuffle=on -run '^(TestCloseLifecycle|TestPoolCloseExtras|TestPoolCloseDrainsInFlight|TestCloseConcurrentWithRequests|TestPoolReloadUnderLoad|TestPoolReloadSwitchesWorlds|TestCloseRacesIngest)$' .
 
 echo "all checks passed"
